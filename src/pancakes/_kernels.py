@@ -6,6 +6,15 @@ use the same encodings as :mod:`pancakes.perms` (lexicographic Lehmer rank;
 signed ranks put the unsigned rank in the high bits and one sign bit per
 position in the low n bits).
 
+Batches are stored column-major: the unrank and flip kernels return (m, n)
+views of C-ordered (n, m) arrays, so each position's m entries are
+contiguous and every per-position step is one vector operation on a
+contiguous row. Unrank splits ranks into Lehmer digits with ``np.divmod``
+and turns the digits into entries with one right-to-left bump pass; rank
+counts smaller entries per position in uint8 and folds the digits into the
+int64 rank by Horner's rule. The kernels accept batches in either memory
+order.
+
 Bitsets are flat uint64 arrays with bit ``b`` of word ``w`` addressing rank
 ``64*w + b``.
 """
@@ -41,43 +50,45 @@ def factorials(n: int) -> list[int]:
 
 def batch_unrank(n: int, ranks: np.ndarray) -> np.ndarray:
     """Decode lexicographic ranks into one-line notation, shape (m, n) uint8."""
-    m = ranks.shape[0]
-    out = np.empty((m, n), dtype=np.uint8)
-    avail = np.ones((m, n), dtype=bool)
-    rest = ranks.astype(np.int64, copy=True)
+    cols = np.zeros((n, ranks.shape[0]), dtype=np.uint8)
+    rest = ranks
     fact = factorials(n)
-    rows = np.arange(m)
-    for pos in range(n):
-        f = fact[n - 1 - pos]
-        digit = rest // f
-        rest -= digit * f
-        # pick the digit-th remaining value in each row
-        csum = np.cumsum(avail, axis=1)
-        idx = np.argmax(csum == (digit + 1)[:, None], axis=1)
-        out[:, pos] = idx + 1
-        avail[rows, idx] = False
-    return out
+    for pos in range(n - 1):
+        digit, rest = np.divmod(rest, fact[n - 1 - pos])
+        cols[pos] = digit
+    # digits to 0-based entries, right to left: cols[j + 1:] already hold a
+    # permutation of 0..n-2-j, and giving position j the value digit[j] bumps
+    # every entry to its right that is >= digit[j] up by one
+    for j in range(n - 2, -1, -1):
+        left = cols[j]
+        for k in range(j + 1, n):
+            cols[k] += cols[k] >= left
+    cols += 1
+    return cols.T
 
 
 def batch_rank(perms: np.ndarray) -> np.ndarray:
     """Lexicographic ranks of one-line uint8 rows, shape (m,) int64."""
-    m, n = perms.shape
+    cols = perms.T
+    n, m = cols.shape
     ranks = np.zeros(m, dtype=np.int64)
-    fact = factorials(n)
-    smaller = np.zeros(m, dtype=np.int64)
+    smaller = np.empty(m, dtype=np.uint8)
     for pos in range(n - 1):
-        v = perms[:, pos]
+        v = cols[pos]
         smaller[:] = 0
         for k in range(pos + 1, n):
-            smaller += perms[:, k] < v
-        ranks += smaller * fact[n - 1 - pos]
+            smaller += cols[k] < v
+        # Horner form of sum(digit[pos] * (n - 1 - pos)!)
+        ranks *= n - pos
+        ranks += smaller
     return ranks
 
 
 def batch_flip(perms: np.ndarray, i: int) -> np.ndarray:
-    """Reverse the first i columns of each row."""
-    out = perms.copy()
+    """Reverse the first i columns of each row; the copy is column-major."""
+    out = np.empty_like(perms, order="F")
     out[:, :i] = perms[:, i - 1 :: -1]
+    out[:, i:] = perms[:, i:]
     return out
 
 
@@ -86,29 +97,29 @@ def batch_flip(perms: np.ndarray, i: int) -> np.ndarray:
 
 def batch_sunrank(n: int, ranks: np.ndarray) -> np.ndarray:
     """Decode signed ranks into window notation, shape (m, n) int8."""
-    base = ranks >> np.int64(n)
-    bits = ranks & np.int64((1 << n) - 1)
-    out = batch_unrank(n, base).astype(np.int8)
-    sign_on = (bits[:, None] >> np.arange(n, dtype=np.int64)) & 1
-    np.negative(out, where=sign_on.astype(bool), out=out)
+    out = batch_unrank(n, ranks >> np.int64(n)).view(np.int8)
+    cols = out.T
+    for idx in range(n):
+        np.negative(cols[idx], where=(ranks >> np.int64(idx)) & 1 == 1, out=cols[idx])
     return out
 
 
 def batch_srank(perms: np.ndarray) -> np.ndarray:
     """Signed ranks of int8 window rows, shape (m,) int64."""
     n = perms.shape[1]
-    ranks = batch_rank(np.abs(perms).astype(np.uint8)) << np.int64(n)
-    neg = perms < 0
-    for idx in range(n):
-        ranks += neg[:, idx].astype(np.int64) << np.int64(idx)
+    ranks = batch_rank(np.abs(perms).view(np.uint8))
+    cols = perms.T
+    for idx in range(n - 1, -1, -1):
+        ranks <<= np.int64(1)
+        ranks |= cols[idx] < 0
     return ranks
 
 
 def batch_signed_flip(perms: np.ndarray, i: int) -> np.ndarray:
-    """Reverse and negate the first i columns of each row."""
-    out = perms.copy()
-    out[:, :i] = perms[:, i - 1 :: -1]
-    np.negative(out[:, :i], out=out[:, :i])
+    """Reverse and negate the first i columns of each row; the copy is column-major."""
+    out = np.empty_like(perms, order="F")
+    np.negative(perms[:, i - 1 :: -1], out=out[:, :i])
+    out[:, i:] = perms[:, i:]
     return out
 
 

@@ -132,9 +132,11 @@ def required_memory(
     chunk = min(_CHUNK, size)
     # visited + frontier + merge temp, one candidate bitset per worker
     bitsets = (3 + workers) * word_bytes
-    # per-worker batch buffers: two (chunk, n) permutation arrays plus a few
-    # int64 rank/test temporaries
-    buffers = workers * chunk * (2 * graph.n + 48)
+    # per-worker batch buffers: up to three (chunk, n) byte arrays (the
+    # unranked batch, one flipped copy and, in BP_n, its absolute values) plus
+    # up to six int64 temporaries (unrank's divmod, neighbour ranks, bitset
+    # test/set shifts and word indices)
+    buffers = workers * chunk * (3 * graph.n + 48)
     # frontier extraction temporaries (unpacked bits and rank indices)
     scratch = 4 * size
     layer_map = size if with_layer_map else 0
@@ -290,8 +292,9 @@ def resume(
 ) -> LayerProfile:
     """Continue a checkpointed search to completion.
 
-    The final profile is identical to an uninterrupted run. ``expect`` guards
-    against resuming a checkpoint for a different graph.
+    The final profile is identical to an uninterrupted run. ``max_layer`` cuts
+    the profile to layers 0..max_layer even when the checkpoint holds more.
+    ``expect`` guards against resuming a checkpoint for a different graph.
     """
     cp = read_checkpoint(checkpoint_path)
     if expect is not None and (cp.kind, cp.n) != (expect.kind, expect.n):
@@ -299,8 +302,11 @@ def resume(
             f"checkpoint is for {cp.graph}, expected {expect}"
         )
     graph = cp.graph
-    if cp.terminal:
-        return LayerProfile(graph.kind, graph.n, cp.counts, complete=True)
+    if cp.terminal or (max_layer is not None and cp.completed_layer >= max_layer):
+        counts = cp.counts if max_layer is None else cp.counts[: max_layer + 1]
+        return LayerProfile(
+            graph.kind, graph.n, counts, complete=sum(counts) == graph.size
+        )
     limit = resolve_memory_limit(memory_limit)
     _check_memory(graph, limit, workers, False, f"resumed layer profile of {graph}")
     return _run_layers(

@@ -112,6 +112,26 @@ class TestTable:
         )
         assert code == EXIT_OK and out == "5,1,4,12,35,48,20\n"
 
+    def test_checkpoint_holding_more_layers_is_cut_to_k(self, tmp_path, capsys):
+        path = tmp_path / "p6.ckpt"
+        code, out, _ = run(
+            capsys, "table", "--graph", "plain", "--n", "6", "--checkpoint", str(path)
+        )
+        assert code == EXIT_OK and out == "6,1,5,20,79,199,281,133,2\n"
+        code, out, _ = run(
+            capsys, "table", "--graph", "plain", "--n", "6",
+            "--k", "3", "--checkpoint", str(path),
+        )
+        assert code == EXIT_OK and out == "6,1,5,20,79\n"
+        code, out, _ = run(
+            capsys, "table", "--graph", "plain", "--n", "6",
+            "--k", "3", "--checkpoint", str(path), "--format", "json",
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["rows"] == [
+            {"n": 6, "counts": [1, 5, 20, 79], "complete": False}
+        ]
+
     def test_checkpoint_wrong_graph(self, tmp_path, capsys):
         path = tmp_path / "p5.ckpt"
         run(capsys, "table", "--graph", "plain", "--n", "5",

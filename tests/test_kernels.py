@@ -34,7 +34,8 @@ class TestUnsignedKernels:
 
     def test_rank_random_large_n(self):
         rng = np.random.default_rng(7)
-        for n in (8, 10, 12):
+        # 20 is the largest n whose ranks fit in int64
+        for n in (8, 10, 12, 16, 20):
             ranks = rng.integers(0, math.factorial(n), size=500, dtype=np.int64)
             perms = K.batch_unrank(n, ranks)
             for row, r in zip(perms, ranks):
@@ -51,6 +52,22 @@ class TestUnsignedKernels:
             for row_in, row_out in zip(perms, flipped):
                 p = Perm(tuple(int(x) for x in row_in))
                 assert tuple(int(x) for x in row_out) == apply_flip(p, i).entries
+
+    def test_rank_of_flip_matches_scalar_exhaustive(self):
+        for n in range(2, 8):
+            perms = K.batch_unrank(n, np.arange(math.factorial(n), dtype=np.int64))
+            scalar = [unrank(n, r) for r in range(math.factorial(n))]
+            for i in range(2, n + 1):
+                expected = [rank(apply_flip(p, i)) for p in scalar]
+                assert K.batch_rank(K.batch_flip(perms, i)).tolist() == expected
+
+    def test_rank_ignores_memory_order(self):
+        rng = np.random.default_rng(29)
+        n = 9
+        perms = K.batch_unrank(n, rng.integers(0, math.factorial(n), size=300))
+        c_order, f_order = np.ascontiguousarray(perms), np.asfortranarray(perms)
+        assert c_order.flags.c_contiguous and f_order.flags.f_contiguous
+        assert np.array_equal(K.batch_rank(c_order), K.batch_rank(f_order))
 
 
 class TestSignedKernels:
@@ -69,7 +86,8 @@ class TestSignedKernels:
 
     def test_srank_random_large_n(self):
         rng = np.random.default_rng(13)
-        for n in (6, 8):
+        # 16 is the largest n whose signed ranks fit in int64
+        for n in (6, 8, 10, 12, 16):
             size = math.factorial(n) << n
             ranks = rng.integers(0, size, size=500, dtype=np.int64)
             perms = K.batch_sunrank(n, ranks)
@@ -88,6 +106,23 @@ class TestSignedKernels:
             for row_in, row_out in zip(perms, flipped):
                 s = SignedPerm(tuple(int(x) for x in row_in))
                 assert tuple(int(x) for x in row_out) == apply_signed_flip(s, i).entries
+
+    def test_srank_of_flip_matches_scalar_exhaustive(self):
+        for n in range(1, 6):
+            size = math.factorial(n) << n
+            perms = K.batch_sunrank(n, np.arange(size, dtype=np.int64))
+            scalar = [sunrank(n, r) for r in range(size)]
+            for i in range(1, n + 1):
+                expected = [srank(apply_signed_flip(s, i)) for s in scalar]
+                assert K.batch_srank(K.batch_signed_flip(perms, i)).tolist() == expected
+
+    def test_srank_ignores_memory_order(self):
+        rng = np.random.default_rng(31)
+        n = 7
+        perms = K.batch_sunrank(n, rng.integers(0, math.factorial(n) << n, size=300))
+        c_order, f_order = np.ascontiguousarray(perms), np.asfortranarray(perms)
+        assert c_order.flags.c_contiguous and f_order.flags.f_contiguous
+        assert np.array_equal(K.batch_srank(c_order), K.batch_srank(f_order))
 
     def test_flip_involution_batchwise(self):
         n = 6

@@ -1,5 +1,7 @@
 """Layered BFS: profiles, checkpoint/resume, distance, and sort sequences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,20 @@ class TestMemoryAccounting:
         g = graph(BURNT, 6)
         assert required_memory(g, workers=4) > required_memory(g, workers=1)
         assert required_memory(g, with_layer_map=True) > required_memory(g)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "kind,n", [(PLAIN, n) for n in range(6, 11)] + [(BURNT, n) for n in range(4, 8)]
+    )
+    def test_estimate_covers_traced_peak(self, kind, n, workers):
+        g = graph(kind, n)
+        tracemalloc.start()
+        try:
+            layer_profile(g, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= required_memory(g, workers=workers)
 
     def test_env_variable_sets_default(self, monkeypatch):
         monkeypatch.setenv(MEMORY_LIMIT_ENV, "5000")
