@@ -145,7 +145,7 @@ def bitset_test(words: np.ndarray, ranks: np.ndarray) -> np.ndarray:
 def bitset_extract_ranks(words: np.ndarray, word_offset: int = 0) -> np.ndarray:
     """Ranks of all set bits, ascending, as int64."""
     bits = np.unpackbits(words.view(np.uint8), bitorder="little")
-    ranks = np.flatnonzero(bits).astype(np.int64)
+    ranks = np.flatnonzero(bits).astype(np.int64, copy=False)
     if word_offset:
         ranks += word_offset * 64
     return ranks

@@ -311,8 +311,8 @@ def resume(
     _check_memory(graph, limit, workers, False, f"resumed layer profile of {graph}")
     return _run_layers(
         graph,
-        cp.visited.copy(),
-        cp.frontier.copy(),
+        cp.visited,
+        cp.frontier,
         list(cp.counts),
         workers=workers,
         checkpoint_path=checkpoint_path,

@@ -165,3 +165,27 @@ def brute_force_cycles(n: int, burnt: bool, L: int) -> set[tuple[tuple[int, ...]
         if ok:
             found.add((canonical_form(labels), tuple(sorted(interior))))
     return found
+
+
+# ---------------------------------------------------------------------------
+# CRC-32C, one byte at a time
+
+def _crc32c_byte_table() -> list[int]:
+    table = []
+    for byte in range(256):
+        crc = byte
+        for _ in range(8):
+            crc = (crc >> 1) ^ (0x82F63B78 & -(crc & 1))
+        table.append(crc)
+    return table
+
+
+_CRC32C_BYTE_TABLE = _crc32c_byte_table()
+
+
+def crc32c_reference(data: bytes, crc: int = 0) -> int:
+    """CRC-32C (reflected Castagnoli polynomial) by the plain byte-table loop."""
+    crc ^= 0xFFFFFFFF
+    for byte in data:
+        crc = _CRC32C_BYTE_TABLE[(crc ^ byte) & 0xFF] ^ (crc >> 8)
+    return crc ^ 0xFFFFFFFF

@@ -1,10 +1,12 @@
 """Checkpoint file format: checksum, roundtrip, and corruption detection."""
 
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
+from oracles import crc32c_reference
 from pancakes.checkpoint import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -15,6 +17,9 @@ from pancakes.checkpoint import (
     write_checkpoint,
 )
 from pancakes.graphs import GraphKind, PancakeGraph
+from pancakes.search import layer_profile
+
+LANE = 256  # bytes per lane of the vectorized CRC-32C
 
 
 def make_checkpoint(kind=GraphKind.PLAIN, n=3):
@@ -50,6 +55,59 @@ class TestCrc32c:
         import zlib
 
         assert crc32c(b"123456789") != zlib.crc32(b"123456789")
+
+    @pytest.mark.parametrize("init", [0, 0xDEADBEEF])
+    def test_matches_scalar_reference(self, init):
+        # Lane boundaries, and 2**12 lanes: one whole block of the fold tree.
+        lengths = [0, 1, LANE - 1, LANE, LANE + 1, 3 * LANE + 1]
+        for j in (1, 2, 5, 12, 13):
+            lengths += [2**j * LANE - 1, 2**j * LANE + 1]
+        data = np.random.default_rng(7).integers(0, 256, max(lengths), dtype=np.uint8).tobytes()
+        expected, done = init, 0
+        for length in sorted(lengths):
+            expected = crc32c_reference(data[done:length], expected)
+            done = length
+            assert crc32c(data[:length], init) == expected, length
+
+    def test_accepts_any_contiguous_buffer(self):
+        words = np.random.default_rng(3).integers(0, 2**63, 1000, dtype=np.uint64)
+        raw = words.tobytes()
+        expected = crc32c_reference(raw, 0xDEADBEEF)
+        for data in (raw, bytearray(raw), memoryview(raw), words):
+            assert crc32c(data, 0xDEADBEEF) == expected, type(data)
+
+    @pytest.mark.parametrize("length", [10, 300])
+    def test_rejects_crc_wider_than_32_bits(self, length):
+        with pytest.raises(ValueError, match="32-bit"):
+            crc32c(b"x" * length, 2**33)
+
+    def test_golden_values_of_byte_loop(self):
+        # Values of the byte-at-a-time loop, over 4099 lanes: two blocks.
+        data = bytes(range(256)) * 4099
+        assert crc32c(data) == 0xCBFF5B50
+        assert crc32c(data, 0x12345678) == 0xFEB17E2E
+
+
+class TestFileBytes:
+    """Files written by ``layer_profile`` stay byte-identical to format v1 as
+    first released; any change to layout or checksum shows here."""
+
+    @pytest.mark.parametrize(
+        "kind, n, max_layer, size, digest",
+        [
+            (GraphKind.PLAIN, 7, 3, 1318,
+             "30b50f1061f5a50f145d031c4bafa4b1de38ed4a0cf02d868d29a6226787fc71"),
+            (GraphKind.BURNT, 5, 4, 1022,
+             "c4c9d00e79b16540fd0deb67b3f86b1ea76cef6923d395505cec3cebc3e81293"),
+        ],
+    )
+    def test_golden_file(self, tmp_path, kind, n, max_layer, size, digest):
+        path = tmp_path / "golden.ckpt"
+        layer_profile(PancakeGraph(kind, n), checkpoint_path=path, max_layer=max_layer)
+        blob = path.read_bytes()
+        assert CHECKPOINT_VERSION == 1
+        assert len(blob) == size
+        assert hashlib.sha256(blob).hexdigest() == digest
 
 
 class TestRoundtrip:
@@ -161,6 +219,20 @@ class TestCorruptionDetection:
         tampered[9] = 6  # claims n=6 (720 vertices) but arrays are n=3 sized
         path = self.write_blob(tmp_path, refix_crc(bytes(tampered)))
         with pytest.raises(CheckpointError, match="length"):
+            read_checkpoint(path)
+
+    def test_header_claiming_huge_n_is_rejected_by_length(self, tmp_path, blob):
+        tampered = bytearray(blob)
+        tampered[9] = 20  # plain n = 20: 2.4e18 vertices; must never be allocated
+        path = self.write_blob(tmp_path, refix_crc(bytes(tampered)))
+        with pytest.raises(CheckpointError, match="length"):
+            read_checkpoint(path)
+
+    def test_header_n_out_of_range(self, tmp_path, blob):
+        tampered = bytearray(blob)
+        tampered[9] = 0
+        path = self.write_blob(tmp_path, refix_crc(bytes(tampered)))
+        with pytest.raises(CheckpointError, match="graph size"):
             read_checkpoint(path)
 
     def test_inconsistent_completed_layer(self, tmp_path, blob):

@@ -1,6 +1,7 @@
 """Batch numpy kernels against the scalar implementations."""
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -154,6 +155,19 @@ class TestBitsets:
         K.bitset_set(words, np.array([130, 200], dtype=np.int64))
         sub = words[2:]  # words 2.. hold bits 128..
         assert np.array_equal(K.bitset_extract_ranks(sub, word_offset=2), [130, 200])
+
+    def test_extract_peak_memory_per_bit(self):
+        # One byte per bit unpacked plus the int64 ranks, and no second copy.
+        bits = 1 << 21
+        words = np.full(bits // 64, np.uint64(2**64 - 1), dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            ranks = K.bitset_extract_ranks(words)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ranks.size == bits and ranks.dtype == np.int64
+        assert peak <= 10 * bits
 
     def test_random_against_python_set(self):
         rng = np.random.default_rng(23)
