@@ -50,6 +50,7 @@ from .reports import (
 from .search import (
     LayerProfile,
     MemoryLimitError,
+    distance,
     layer_profile,
     resume,
     sort_sequence,
@@ -171,9 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("--n", required=True, metavar="N|LO..HI")
     check.add_argument("--k", type=int, help="flip count (identities only)")
-    check.add_argument("--memory-limit", type=int, metavar="BYTES")
-    check.add_argument("--workers", type=int, default=1)
-    check.add_argument("--output", metavar="PATH")
+    _add_common(check, graph=False)
     check.add_argument("--format", choices=("text", "json"), default="text")
 
     fit = formulas_sub.add_parser(
@@ -256,8 +255,6 @@ def _parse_cli_perm(config: RunConfig, tokens: list[str]):
 
 
 def cmd_distance(config: RunConfig, tokens: list[str]) -> int:
-    from .search import distance
-
     graph, value = _parse_cli_perm(config, tokens)
     d = distance(
         graph, value, memory_limit=config.memory_limit, workers=config.workers

@@ -6,7 +6,8 @@ sizes (BP_8 has ~10.3M vertices but its bitset is 1.3 MB). Each layer is
 expanded by scanning the frontier's set bits in blocks, unranking them,
 applying every flip with the vectorized kernels, ranking the neighbors, and
 setting the bits of previously unseen vertices; the popcount of the merged
-result is the next layer count.
+result is the next layer count. One generator runs this loop; profiles,
+resumed profiles, distances and sort sequences all consume its layers.
 
 Workers partition the frontier into contiguous word spans. Each worker fills
 a private candidate bitset and the results are OR-merged single-threaded
@@ -21,6 +22,7 @@ refuses with the required size instead of thrashing. The default limit is
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -42,6 +44,7 @@ __all__ = [
     "LayerProfile",
     "MemoryLimitError",
     "required_memory",
+    "resolve_memory_limit",
     "layer_profile",
     "resume",
     "distance",
@@ -90,25 +93,6 @@ class LayerProfile:
         return len(self.counts) - 1
 
 
-class _GraphOps:
-    """Kernel bindings for one graph."""
-
-    __slots__ = ("graph", "flips", "unrank_batch", "rank_batch", "flip_batch")
-
-    def __init__(self, graph: PancakeGraph):
-        self.graph = graph
-        self.flips = list(graph.flip_indices)
-        n = graph.n
-        if graph.kind is GraphKind.BURNT:
-            self.unrank_batch = lambda ranks: K.batch_sunrank(n, ranks)
-            self.rank_batch = K.batch_srank
-            self.flip_batch = K.batch_signed_flip
-        else:
-            self.unrank_batch = lambda ranks: K.batch_unrank(n, ranks)
-            self.rank_batch = K.batch_rank
-            self.flip_batch = K.batch_flip
-
-
 def resolve_memory_limit(memory_limit: int | None) -> int:
     if memory_limit is not None:
         return int(memory_limit)
@@ -130,7 +114,8 @@ def required_memory(
     size = graph.size
     word_bytes = 8 * ((size + 63) // 64)
     chunk = min(_CHUNK, size)
-    # visited + frontier + merge temp, one candidate bitset per worker
+    # visited + frontier + one candidate bitset per worker, and one bitset of
+    # headroom
     bitsets = (3 + workers) * word_bytes
     # per-worker batch buffers: up to three (chunk, n) byte arrays (the
     # unranked batch, one flipped copy and, in BP_n, its absolute values) plus
@@ -144,21 +129,48 @@ def required_memory(
 
 
 def _check_memory(
-    graph: PancakeGraph, limit: int, workers: int, with_layer_map: bool, what: str
+    graph: PancakeGraph, limit: int | None, workers: int, layer_map: bool, what: str
 ) -> None:
-    required = required_memory(graph, workers=workers, with_layer_map=with_layer_map)
+    limit = resolve_memory_limit(limit)
+    required = required_memory(graph, workers=workers, with_layer_map=layer_map)
     if required > limit:
         raise MemoryLimitError(required, limit, what)
 
 
-def _expand_span(
-    ops: _GraphOps,
+def _start(
+    graph: PancakeGraph, limit: int | None, workers: int, layer_map: bool, what: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Refuse an oversized search, else visited set and frontier of the identity."""
+    _check_memory(graph, limit, workers, layer_map, what)
+    visited = K.bitset_alloc(graph.size)
+    K.bitset_set(visited, np.zeros(1, dtype=np.int64))  # the identity always ranks 0
+    return visited, visited.copy()
+
+
+def _save(
+    checkpoint_path: str | os.PathLike | None,
+    graph: PancakeGraph,
+    counts: list[int],
     visited: np.ndarray,
     frontier: np.ndarray,
-    lo: int,
-    hi: int,
+) -> None:
+    if checkpoint_path is not None:
+        cp = SearchCheckpoint(
+            graph.kind, graph.n, len(counts) - 1, tuple(counts), visited, frontier
+        )
+        write_checkpoint(checkpoint_path, cp)
+
+
+def _expand_span(
+    graph: PancakeGraph, visited: np.ndarray, frontier: np.ndarray, lo: int, hi: int
 ) -> np.ndarray:
-    """Candidate bitset of neighbors of frontier bits in words [lo, hi)."""
+    """Candidate bitset of unvisited neighbors of frontier bits in words [lo, hi)."""
+    # kernels are looked up when called, so that wrappers installed on the
+    # _kernels module see every call
+    if graph.kind is GraphKind.BURNT:
+        unrank, rank, flip = K.batch_sunrank, K.batch_srank, K.batch_signed_flip
+    else:
+        unrank, rank, flip = K.batch_unrank, K.batch_rank, K.batch_flip
     cand = np.zeros_like(visited)
     for block in range(lo, hi, _BLOCK_WORDS):
         top = min(block + _BLOCK_WORDS, hi)
@@ -167,10 +179,9 @@ def _expand_span(
             continue
         ranks = K.bitset_extract_ranks(span, word_offset=block)
         for start in range(0, ranks.size, _CHUNK):
-            batch = ranks[start : start + _CHUNK]
-            perms = ops.unrank_batch(batch)
-            for i in ops.flips:
-                neighbor_ranks = ops.rank_batch(ops.flip_batch(perms, i))
+            perms = unrank(graph.n, ranks[start : start + _CHUNK])
+            for i in graph.flip_indices:
+                neighbor_ranks = rank(flip(perms, i))
                 fresh = neighbor_ranks[~K.bitset_test(visited, neighbor_ranks)]
                 if fresh.size:
                     K.bitset_set(cand, fresh)
@@ -178,35 +189,40 @@ def _expand_span(
 
 
 def _expand_layer(
-    ops: _GraphOps, visited: np.ndarray, frontier: np.ndarray, workers: int
+    graph: PancakeGraph, visited: np.ndarray, frontier: np.ndarray, workers: int
 ) -> np.ndarray:
     """Bitset of the next layer (unvisited neighbors of the frontier)."""
     nwords = visited.shape[0]
     if workers <= 1 or nwords < workers:
-        cand = _expand_span(ops, visited, frontier, 0, nwords)
-    else:
-        bounds = [nwords * w // workers for w in range(workers + 1)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda span: _expand_span(ops, visited, frontier, *span),
-                    zip(bounds, bounds[1:]),
-                )
+        return _expand_span(graph, visited, frontier, 0, nwords)
+    bounds = [nwords * w // workers for w in range(workers + 1)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = list(
+            pool.map(
+                lambda span: _expand_span(graph, visited, frontier, *span),
+                zip(bounds, bounds[1:]),
             )
-        cand = parts[0]
-        for part in parts[1:]:
-            np.bitwise_or(cand, part, out=cand)
-    np.bitwise_and(cand, np.bitwise_not(visited), out=cand)
+        )
+    cand = parts[0]
+    for part in parts[1:]:
+        np.bitwise_or(cand, part, out=cand)
     return cand
 
 
-def _initial_state(graph: PancakeGraph):
-    visited = K.bitset_alloc(graph.size)
-    frontier = K.bitset_alloc(graph.size)
-    origin = np.array([0], dtype=np.int64)  # the identity always ranks 0
-    K.bitset_set(visited, origin)
-    K.bitset_set(frontier, origin)
-    return visited, frontier, [1]
+def _layers(
+    graph: PancakeGraph, visited: np.ndarray, frontier: np.ndarray, workers: int
+) -> Iterator[tuple[np.ndarray, int]]:
+    """Yield each next layer's bitset and popcount, ending after the empty layer.
+
+    A layer is OR-ed into ``visited`` before it is yielded.
+    """
+    found = 1
+    while found:
+        frontier = _expand_layer(graph, visited, frontier, workers)
+        found = K.bitset_popcount(frontier)
+        if found:
+            np.bitwise_or(visited, frontier, out=visited)
+        yield frontier, found
 
 
 def _run_layers(
@@ -219,32 +235,14 @@ def _run_layers(
     checkpoint_path: str | os.PathLike | None,
     max_layer: int | None,
 ) -> LayerProfile:
-    ops = _GraphOps(graph)
-
-    def save(front: np.ndarray) -> None:
-        if checkpoint_path is not None:
-            write_checkpoint(
-                checkpoint_path,
-                SearchCheckpoint(
-                    graph.kind,
-                    graph.n,
-                    len(counts) - 1,
-                    tuple(counts),
-                    visited,
-                    front,
-                ),
-            )
-
-    while max_layer is None or len(counts) - 1 < max_layer:
-        new = _expand_layer(ops, visited, frontier, workers)
-        found = K.bitset_popcount(new)
-        if found == 0:
-            save(new)  # terminal checkpoint: empty frontier
-            return LayerProfile(graph.kind, graph.n, tuple(counts), complete=True)
-        counts.append(found)
-        np.bitwise_or(visited, new, out=visited)
-        frontier = new
-        save(frontier)
+    layers = _layers(graph, visited, frontier, workers)
+    found = 1
+    while found and (max_layer is None or len(counts) - 1 < max_layer):
+        new, found = next(layers)
+        if found:
+            counts.append(found)
+        # after the empty layer this is the terminal checkpoint
+        _save(checkpoint_path, graph, counts, visited, new)
     complete = sum(counts) == graph.size
     return LayerProfile(graph.kind, graph.n, tuple(counts), complete=complete)
 
@@ -263,14 +261,11 @@ def layer_profile(
     given (always starting fresh; use :func:`resume` to continue one).
     ``max_layer`` stops after that many layers, leaving a resumable checkpoint.
     """
-    limit = resolve_memory_limit(memory_limit)
-    _check_memory(graph, limit, workers, False, f"layer profile of {graph}")
-    visited, frontier, counts = _initial_state(graph)
-    if checkpoint_path is not None:
-        write_checkpoint(
-            checkpoint_path,
-            SearchCheckpoint(graph.kind, graph.n, 0, (1,), visited, frontier),
-        )
+    visited, frontier = _start(
+        graph, memory_limit, workers, False, f"layer profile of {graph}"
+    )
+    counts = [1]
+    _save(checkpoint_path, graph, counts, visited, frontier)
     return _run_layers(
         graph,
         visited,
@@ -307,8 +302,8 @@ def resume(
         return LayerProfile(
             graph.kind, graph.n, counts, complete=sum(counts) == graph.size
         )
-    limit = resolve_memory_limit(memory_limit)
-    _check_memory(graph, limit, workers, False, f"resumed layer profile of {graph}")
+    what = f"resumed layer profile of {graph}"
+    _check_memory(graph, memory_limit, workers, False, what)
     return _run_layers(
         graph,
         cp.visited,
@@ -331,21 +326,14 @@ def distance(
     target_rank = graph.rank(target)
     if target_rank == 0:
         return 0
-    limit = resolve_memory_limit(memory_limit)
-    _check_memory(graph, limit, workers, False, f"distance query in {graph}")
-    ops = _GraphOps(graph)
-    visited, frontier, counts = _initial_state(graph)
+    visited, frontier = _start(
+        graph, memory_limit, workers, False, f"distance query in {graph}"
+    )
     probe = np.array([target_rank], dtype=np.int64)
-    layer = 0
-    while True:
-        new = _expand_layer(ops, visited, frontier, workers)
-        if K.bitset_popcount(new) == 0:
-            raise AssertionError("target not reached; graph should be connected")
-        layer += 1
+    for layer, (new, _) in enumerate(_layers(graph, visited, frontier, workers), 1):
         if K.bitset_test(new, probe)[0]:
             return layer
-        np.bitwise_or(visited, new, out=visited)
-        frontier = new
+    raise AssertionError("target not reached; graph should be connected")
 
 
 def sort_sequence(
@@ -364,23 +352,19 @@ def sort_sequence(
     target_rank = graph.rank(target)
     if target_rank == 0:
         return ()
-    limit = resolve_memory_limit(memory_limit)
-    _check_memory(graph, limit, workers, True, f"sort sequence in {graph}")
-    ops = _GraphOps(graph)
-    visited, frontier, _counts = _initial_state(graph)
+    visited, frontier = _start(
+        graph, memory_limit, workers, True, f"sort sequence in {graph}"
+    )
     layer_of = np.full(graph.size, 255, dtype=np.uint8)
     layer_of[0] = 0
-    layer = 0
-    while layer_of[target_rank] == 255:
-        new = _expand_layer(ops, visited, frontier, workers)
-        if K.bitset_popcount(new) == 0:
-            raise AssertionError("target not reached; graph should be connected")
-        layer += 1
+    for layer, (new, _) in enumerate(_layers(graph, visited, frontier, workers), 1):
         if layer > 254:
             raise AssertionError("layer number overflows the byte-sized layer map")
         layer_of[K.bitset_extract_ranks(new)] = layer
-        np.bitwise_or(visited, new, out=visited)
-        frontier = new
+        if layer_of[target_rank] != 255:
+            break
+    else:
+        raise AssertionError("target not reached; graph should be connected")
     sequence = []
     current = target
     for depth in range(int(layer_of[target_rank]), 0, -1):

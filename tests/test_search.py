@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import naive_distance_map, naive_layer_counts
-from pancakes.checkpoint import CheckpointError, read_checkpoint
+from pancakes.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from pancakes.graphs import GraphKind, PancakeGraph
 from pancakes.perms import Perm, PermError, SignedPerm
 from pancakes.search import (
@@ -227,6 +227,64 @@ class TestCheckpointing:
         path = tmp_path / "p6.ckpt"
         layer_profile(graph(PLAIN, 6), max_layer=2, checkpoint_path=path, workers=3)
         assert resume(path, workers=4) == direct
+
+
+class TestCheckpointWrites:
+    """The completed layer of every checkpoint written, in order; P_5 has
+    eccentricity 5, and the second 5 is the terminal (empty frontier) write."""
+
+    @pytest.fixture
+    def written(self, monkeypatch):
+        layers = []
+
+        def record(path, cp):
+            layers.append(cp.completed_layer)
+            write_checkpoint(path, cp)
+
+        monkeypatch.setattr("pancakes.search.write_checkpoint", record)
+        return layers
+
+    def test_fresh_run(self, tmp_path, written):
+        layer_profile(graph(PLAIN, 5), checkpoint_path=tmp_path / "p5.ckpt")
+        assert written == [0, 1, 2, 3, 4, 5, 5]
+
+    def test_max_layer_zero_writes_only_the_start(self, tmp_path, written):
+        layer_profile(graph(PLAIN, 5), max_layer=0, checkpoint_path=tmp_path / "p5.ckpt")
+        assert written == [0]
+
+    def test_segments(self, tmp_path, written):
+        path = tmp_path / "p5.ckpt"
+        layer_profile(graph(PLAIN, 5), max_layer=3, checkpoint_path=path)
+        assert written == [0, 1, 2, 3]
+        written.clear()
+        resume(path, max_layer=2)
+        assert written == []
+        resume(path)
+        assert written == [4, 5, 5]
+        written.clear()
+        resume(path)
+        assert written == []
+
+
+class TestQueriesWithWorkers:
+    """distance and sort_sequence with the expansion split across workers.
+
+    P_5 has two bitset words and BP_3 one; with more workers than words the
+    expansion runs as one span. The sampled P_6 and BP_4 vertices (12 and 6
+    words) are expanded in 2 and 3 spans.
+    """
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize(
+        "kind, n, stride", [(PLAIN, 5, 1), (BURNT, 3, 1), (PLAIN, 6, 17), (BURNT, 4, 17)]
+    )
+    def test_match_naive_bfs_and_one_worker(self, kind, n, stride, workers):
+        g = graph(kind, n)
+        dist_map = naive_distance_map(n, kind is BURNT)
+        for entries, expected in sorted(dist_map.items())[::stride]:
+            v = SignedPerm(entries) if kind is BURNT else Perm(entries)
+            assert distance(g, v, workers=workers) == expected, entries
+            assert sort_sequence(g, v, workers=workers) == sort_sequence(g, v), entries
 
 
 class TestDistance:
