@@ -344,6 +344,7 @@ def cmd_formulas_check(config: RunConfig, which: str) -> int:
             PancakeGraph(spec.kind, n),
             memory_limit=config.memory_limit,
             workers=config.workers,
+            max_layer=spec.k,
         )
         for n in config.ns
     ]
@@ -380,6 +381,7 @@ def cmd_formulas_fit(config: RunConfig) -> int:
             PancakeGraph(config.kind, n),
             memory_limit=config.memory_limit,
             workers=config.workers,
+            max_layer=config.k,
         )
         value = profile.counts[config.k] if config.k < len(profile.counts) else 0
         points.append((n, value))

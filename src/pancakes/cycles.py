@@ -18,6 +18,8 @@ than the lexicographically maximal one.
 
 from __future__ import annotations
 
+import inspect
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -120,10 +122,13 @@ UNMATCHED = _Unmatched()
 class CycleFamily:
     """A parameterized canonical-form template, e.g. (k, k-1, k, k-1, k-2, k, 2).
 
-    ``build`` instantiates the label sequence from a parameter dict;
-    ``instances(k)`` yields every in-range parameter dict whose largest label
-    is exactly ``k`` (the largest label always equals the parameter k, which
-    is how matching recovers it from a form).
+    ``build`` instantiates the label sequence from a parameter dict.
+    ``where`` is the family's parameter range as one inequality: it takes
+    ``build``'s parameters by name and always ``k``, e.g.
+    ``lambda i, j, k: 2 <= i < j <= k - 1``. ``instances(k)`` yields, i
+    outermost, every dict of ``build``'s parameters with values in 1..k that
+    satisfies ``where``; the largest label always equals the parameter k,
+    which is how matching recovers it from a form.
     """
 
     id: int
@@ -131,88 +136,22 @@ class CycleFamily:
     length: int
     signature: str
     build: Callable[..., tuple[int, ...]]
-    instances: Callable[[int], Iterator[dict[str, int]]]
+    where: Callable[..., bool]
+
+    def instances(self, k: int) -> Iterator[dict[str, int]]:
+        """Every in-range parameter dict whose largest label is ``k``."""
+        names = inspect.signature(self.build).parameters
+        free = [name for name in names if name != "k"]
+        fixed = {"k": k} if "k" in names else {}
+        for values in itertools.product(range(1, k + 1), repeat=len(free)):
+            params = dict(zip(free, values))
+            if self.where(**params, k=k):
+                yield params | fixed
 
     def all_instances(self, max_k: int) -> Iterator[dict[str, int]]:
         """Every in-range parameter dict with k up to ``max_k``."""
         for k in range(3, max_k + 1):
             yield from self.instances(k)
-
-
-def _fixed(k_value: int):
-    def gen(k: int):
-        if k == k_value:
-            yield {}
-
-    return gen
-
-
-def _k_only(min_k: int):
-    def gen(k: int):
-        if k >= min_k:
-            yield {"k": k}
-
-    return gen
-
-
-def _i_range(min_k: int, lo, hi):
-    """Parameters {i, k}: lo(k) <= i <= hi(k)."""
-
-    def gen(k: int):
-        if k >= min_k:
-            for i in range(lo(k), hi(k) + 1):
-                yield {"i": i, "k": k}
-
-    return gen
-
-
-def _ij_range(min_k: int, pairs):
-    """Parameters {i, j, k}: pairs(k) yields in-range (i, j)."""
-
-    def gen(k: int):
-        if k >= min_k:
-            for i, j in pairs(k):
-                yield {"i": i, "j": j, "k": k}
-
-    return gen
-
-
-def _pairs_i_lt_j(i_lo, j_hi):
-    """(i, j) with i_lo <= i < j <= j_hi(k)."""
-
-    def pairs(k: int):
-        top = j_hi(k)
-        for i in range(i_lo, top):
-            for j in range(i + 1, top + 1):
-                yield i, j
-
-    return pairs
-
-
-def _pairs_i_plus2_j(i_lo, j_hi):
-    """(i, j) with i_lo <= i <= j-2 and i+2 <= j <= j_hi(k)."""
-
-    def pairs(k: int):
-        top = j_hi(k)
-        for i in range(i_lo, top - 1):
-            for j in range(i + 2, top + 1):
-                yield i, j
-
-    return pairs
-
-
-def _pairs_sum_bounded(lo, each_hi, sum_hi):
-    """(i, j) with lo <= i, j <= each_hi(k) and i + j <= sum_hi(k)."""
-
-    def pairs(k: int):
-        top = each_hi(k)
-        cap = sum_hi(k)
-        for i in range(lo, top + 1):
-            for j in range(lo, top + 1):
-                if i + j <= cap:
-                    yield i, j
-
-    return pairs
 
 
 _PLAIN = GraphKind.PLAIN
@@ -223,137 +162,137 @@ FAMILIES: tuple[CycleFamily, ...] = (
     CycleFamily(
         1, _PLAIN, 6, "3 2 3 2 3 2",
         lambda: (3, 2, 3, 2, 3, 2),
-        _fixed(3),
+        lambda k: k == 3,
     ),
     # -- plain 7-cycles ------------------------------------------------------
     CycleFamily(
         2, _PLAIN, 7, "k k-1 k k-1 k-2 k 2",
         lambda k: (k, k - 1, k, k - 1, k - 2, k, 2),
-        _k_only(4),
+        lambda k: k >= 4,
     ),
     # -- plain 8-cycles ------------------------------------------------------
     CycleFamily(
         3, _PLAIN, 8, "k j i j k k-j+i i k-j+i",
         lambda i, j, k: (k, j, i, j, k, k - j + i, i, k - j + i),
-        _ij_range(4, _pairs_i_lt_j(2, lambda k: k - 1)),
+        lambda i, j, k: 2 <= i < j <= k - 1,
     ),
     CycleFamily(
         4, _PLAIN, 8, "k k-1 2 k-1 k 2 3 2",
         lambda k: (k, k - 1, 2, k - 1, k, 2, 3, 2),
-        _k_only(4),
+        lambda k: k >= 4,
     ),
     CycleFamily(
         5, _PLAIN, 8, "k k-i k-1 i k k-i k-1 i",
         lambda i, k: (k, k - i, k - 1, i, k, k - i, k - 1, i),
-        _i_range(4, lambda k: 2, lambda k: k - 2),
+        lambda i, k: 2 <= i <= k - 2,
     ),
     CycleFamily(
         6, _PLAIN, 8, "k k-i+1 k i k k-i k-1 i-1",
         lambda i, k: (k, k - i + 1, k, i, k, k - i, k - 1, i - 1),
-        _i_range(5, lambda k: 3, lambda k: k - 2),
+        lambda i, k: 3 <= i <= k - 2,
     ),
     CycleFamily(
         7, _PLAIN, 8, "k k-1 i-1 k k-i+1 k-i k i",
         lambda i, k: (k, k - 1, i - 1, k, k - i + 1, k - i, k, i),
-        _i_range(5, lambda k: 3, lambda k: k - 2),
+        lambda i, k: 3 <= i <= k - 2,
     ),
     CycleFamily(
         8, _PLAIN, 8, "k k-1 k k-i k-i-1 k i i+1",
         lambda i, k: (k, k - 1, k, k - i, k - i - 1, k, i, i + 1),
-        _i_range(5, lambda k: 2, lambda k: k - 3),
+        lambda i, k: 2 <= i <= k - 3,
     ),
     CycleFamily(
         9, _PLAIN, 8, "k k-j+1 k i k k-j+1 k i",
         lambda i, j, k: (k, k - j + 1, k, i, k, k - j + 1, k, i),
-        _ij_range(4, _pairs_i_lt_j(2, lambda k: k - 1)),
+        lambda i, j, k: 2 <= i < j <= k - 1,
     ),
     CycleFamily(
         10, _PLAIN, 8, "4 3 4 3 4 3 4 3",
         lambda: (4, 3, 4, 3, 4, 3, 4, 3),
-        _fixed(4),
+        lambda k: k == 4,
     ),
     # -- plain 9-cycles ------------------------------------------------------
     CycleFamily(
         11, _PLAIN, 9, "k k-1 i k-1 k i i-1 i+1 2",
         lambda i, k: (k, k - 1, i, k - 1, k, i, i - 1, i + 1, 2),
-        _i_range(5, lambda k: 3, lambda k: k - 2),
+        lambda i, k: 3 <= i <= k - 2,
     ),
     CycleFamily(
         12, _PLAIN, 9, "2 k-i+2 k i-2 i-1 i i-1 k k-i+2",
         lambda i, k: (2, k - i + 2, k, i - 2, i - 1, i, i - 1, k, k - i + 2),
-        _i_range(5, lambda k: 4, lambda k: k - 1),
+        lambda i, k: 4 <= i <= k - 1,
     ),
     CycleFamily(
         13, _PLAIN, 9, "k k-i k-1 k-j+i-1 k-j k j-i+1 j i",
         lambda i, j, k: (k, k - i, k - 1, k - j + i - 1, k - j, k, j - i + 1, j, i),
-        _ij_range(5, _pairs_i_lt_j(2, lambda k: k - 2)),
+        lambda i, j, k: 2 <= i < j <= k - 2,
     ),
     CycleFamily(
         14, _PLAIN, 9, "k k-1 i i-1 k-1 k i i+1 2",
         lambda i, k: (k, k - 1, i, i - 1, k - 1, k, i, i + 1, 2),
-        _i_range(5, lambda k: 3, lambda k: k - 2),
+        lambda i, k: 3 <= i <= k - 2,
     ),
     CycleFamily(
         15, _PLAIN, 9, "k k-1 k-2 k-1 k-2 k 3 k k-2",
         lambda k: (k, k - 1, k - 2, k - 1, k - 2, k, 3, k, k - 2),
-        _k_only(4),
+        lambda k: k >= 4,
     ),
     CycleFamily(
         16, _PLAIN, 9, "k k-1 k-2 i k 2 k i k-1",
         lambda i, k: (k, k - 1, k - 2, i, k, 2, k, i, k - 1),
-        _i_range(5, lambda k: 2, lambda k: k - 3),
+        lambda i, k: 2 <= i <= k - 3,
     ),
     CycleFamily(
         17, _PLAIN, 9, "k k-j+i k j i k k-j k-i j-i",
         lambda i, j, k: (k, k - j + i, k, j, i, k, k - j, k - i, j - i),
-        _ij_range(6, _pairs_i_plus2_j(2, lambda k: k - 2)),
+        lambda i, j, k: 2 <= i <= j - 2 <= k - 4,
     ),
     CycleFamily(
         18, _PLAIN, 9, "k k-j+i k-j k j i k k-i j-i",
         lambda i, j, k: (k, k - j + i, k - j, k, j, i, k, k - i, j - i),
-        _ij_range(6, _pairs_i_plus2_j(2, lambda k: k - 2)),
+        lambda i, j, k: 2 <= i <= j - 2 <= k - 4,
     ),
     CycleFamily(
         19, _PLAIN, 9, "k k-j+i k-j+1 k j i k k-i+1 j-i+1",
         lambda i, j, k: (k, k - j + i, k - j + 1, k, j, i, k, k - i + 1, j - i + 1),
-        _ij_range(4, _pairs_i_lt_j(2, lambda k: k - 1)),
+        lambda i, j, k: 2 <= i < j <= k - 1,
     ),
     CycleFamily(
         20, _PLAIN, 9, "k k-1 k k-1 k k-1 k-3 k 3",
         lambda k: (k, k - 1, k, k - 1, k, k - 1, k - 3, k, 3),
-        _k_only(5),
+        lambda k: k >= 5,
     ),
     # -- burnt 8-cycles ------------------------------------------------------
     CycleFamily(
         23, _BURNT, 8, "k j i j k k-j+i i k-j+i",
         lambda i, j, k: (k, j, i, j, k, k - j + i, i, k - j + i),
-        _ij_range(3, _pairs_i_lt_j(1, lambda k: k - 1)),
+        lambda i, j, k: 1 <= i < j <= k - 1,
     ),
     CycleFamily(
         24, _BURNT, 8, "k j k i k j k i",
         lambda i, j, k: (k, j, k, i, k, j, k, i),
-        _ij_range(4, _pairs_sum_bounded(2, lambda k: k - 2, lambda k: k)),
+        lambda i, j, k: min(i, j) >= 2 and i + j <= k,
     ),
     CycleFamily(
         25, _BURNT, 8, "k i k 1 k i k 1",
         lambda i, k: (k, i, k, 1, k, i, k, 1),
-        _i_range(3, lambda k: 2, lambda k: k - 1),
+        lambda i, k: 2 <= i <= k - 1,
     ),
     CycleFamily(
         26, _BURNT, 8, "k 1 k 1 k 1 k 1",
         lambda k: (k, 1, k, 1, k, 1, k, 1),
-        _k_only(2),
+        lambda k: k >= 2,
     ),
     # -- burnt 9-cycles ------------------------------------------------------
     CycleFamily(
         27, _BURNT, 9, "k k-i k k-j k-i-j k j i+j i",
         lambda i, j, k: (k, k - i, k, k - j, k - i - j, k, j, i + j, i),
-        _ij_range(3, _pairs_sum_bounded(1, lambda k: k - 2, lambda k: k - 1)),
+        lambda i, j, k: min(i, j) >= 1 and i + j <= k - 1,
     ),
     CycleFamily(
         28, _BURNT, 9, "k i+j i k k-i j k k-j k-i-j",
         lambda i, j, k: (k, i + j, i, k, k - i, j, k, k - j, k - i - j),
-        _ij_range(3, _pairs_sum_bounded(1, lambda k: k - 2, lambda k: k - 1)),
+        lambda i, j, k: min(i, j) >= 1 and i + j <= k - 1,
     ),
 )
 
@@ -418,7 +357,7 @@ def enumerate_cycles(
     Depth-``length`` DFS over flip labels in ascending order, pruning
     revisited vertices; a traversal counts only when it closes at exact depth.
     Each cycle has two identity-rooted traversals (one per direction); the one
-    whose first interior vertex has the smaller rank is kept. Output is
+    whose first interior vertex is the lexicographically smaller tuple is kept. Output is
     sorted by canonical form, then vertex ranks.
     """
     if not 3 <= length <= 12:
@@ -447,8 +386,7 @@ def enumerate_cycles(
     labels: list[int] = []
 
     def record(closing_label: int) -> None:
-        first, last = rank_of(path[1]), rank_of(path[-1])
-        if first > last:
+        if path[1] > path[-1]:
             return  # the reverse traversal of a cycle already (or later) kept
         form = canonicalize(labels + [closing_label])
         ranks = tuple(sorted(rank_of(v) for v in path))

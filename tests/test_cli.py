@@ -479,6 +479,27 @@ class TestFormulasFit:
         assert code == EXIT_USAGE and "two" in err
 
 
+@pytest.mark.parametrize(
+    "argv, k",
+    [
+        (("check", "--which", "r4-burnt", "--n", "3..5"), 4),
+        (("fit", "--graph", "plain", "--k", "2", "--n", "3..7"), 2),
+    ],
+)
+def test_formulas_search_only_to_layer_k(capsys, monkeypatch, argv, k):
+    seen = []
+    layer_profile = cli.layer_profile
+
+    def recording_profile(graph, **kwargs):
+        seen.append(kwargs.get("max_layer"))
+        return layer_profile(graph, **kwargs)
+
+    monkeypatch.setattr(cli, "layer_profile", recording_profile)
+    code, _, _ = run(capsys, "formulas", *argv)
+    assert code == EXIT_OK
+    assert seen and all(layer == k for layer in seen)
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == EXIT_USAGE

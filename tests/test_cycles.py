@@ -205,6 +205,15 @@ class TestFamilies:
                 assert labels not in seen, (fam.id, key, seen[labels])
                 seen[labels] = key
 
+    def test_signature_agrees_with_build(self):
+        for fam in FAMILIES:
+            for params in fam.all_instances(8):
+                written = tuple(
+                    eval(token, {"__builtins__": {}}, params)
+                    for token in fam.signature.split(" ")
+                )
+                assert written == fam.build(**params), (fam.id, params)
+
     def test_largest_label_is_k(self):
         for fam in FAMILIES:
             for params in fam.all_instances(7):
@@ -296,6 +305,26 @@ class TestVerifyClassification:
         assert {fid: t.count for fid, t in report.per_family.items()} == {
             27: 36, 28: 12,
         }
+
+    @pytest.mark.parametrize(
+        "kind,n,length,tallies",
+        [
+            (PLAIN, 6, 8,
+             {3: 20, 4: 12, 5: 12, 6: 12, 7: 24, 8: 12, 9: 10, 10: 1}),
+            (PLAIN, 6, 9,
+             {11: 27, 12: 27, 13: 36, 14: 27, 15: 27, 16: 27, 17: 9, 18: 3,
+              19: 30, 20: 18}),
+            (BURNT, 5, 8, {23: 20, 24: 4, 25: 12, 26: 4}),
+            (BURNT, 5, 9, {27: 90, 28: 30}),
+        ],
+    )
+    def test_per_family_tallies(self, kind, n, length, tallies):
+        # match_form takes the first family and instance that reproduces a
+        # form, so these counts pin the order instances are tried in
+        report = verify_classification(graph(kind, n), length)
+        assert report.ok
+        assert {fid: t.count for fid, t in report.per_family.items()} == tallies
+        assert report.total == sum(tallies.values())
 
     def test_plain_eight_cycle_forms_match_instantiations(self):
         found = {c.labels for c in enumerate_cycles(graph(PLAIN, 4), 8)}
