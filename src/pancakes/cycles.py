@@ -150,7 +150,7 @@ class CycleFamily:
 
     def all_instances(self, max_k: int) -> Iterator[dict[str, int]]:
         """Every in-range parameter dict with k up to ``max_k``."""
-        for k in range(3, max_k + 1):
+        for k in range(1, max_k + 1):
             yield from self.instances(k)
 
 

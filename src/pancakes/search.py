@@ -114,9 +114,9 @@ def required_memory(
     size = graph.size
     word_bytes = 8 * ((size + 63) // 64)
     chunk = min(_CHUNK, size)
-    # visited + frontier + one candidate bitset per worker, and one bitset of
-    # headroom
-    bitsets = (3 + workers) * word_bytes
+    # visited + frontier + one candidate bitset per worker, and with the layer
+    # map the three layer-residue bitsets of a query (see sort_sequence)
+    bitsets = (2 + workers + 3 * with_layer_map) * word_bytes
     # per-worker batch buffers: up to three (chunk, n) byte arrays (the
     # unranked batch, one flipped copy and, in BP_n, its absolute values) plus
     # up to six int64 temporaries (unrank's divmod, neighbour ranks, bitset
@@ -124,8 +124,7 @@ def required_memory(
     buffers = workers * chunk * (3 * graph.n + 48)
     # frontier extraction temporaries (unpacked bits and rank indices)
     scratch = 4 * size
-    layer_map = size if with_layer_map else 0
-    return bitsets + buffers + scratch + layer_map
+    return bitsets + buffers + scratch
 
 
 def _check_memory(
@@ -315,6 +314,41 @@ def resume(
     )
 
 
+def _walk(
+    graph: PancakeGraph,
+    target: Perm | SignedPerm,
+    memory_limit: int | None,
+    workers: int,
+    what: str,
+) -> tuple[int, ...]:
+    """The flip sequence of :func:`sort_sequence`; :func:`distance` is its length."""
+    target_rank = graph.rank(target)
+    if target_rank == 0:
+        return ()
+    visited, frontier = _start(graph, memory_limit, workers, True, what)
+    residues = [frontier.copy(), K.bitset_alloc(graph.size), K.bitset_alloc(graph.size)]
+    probe = np.array([target_rank], dtype=np.int64)
+    for depth, (new, _) in enumerate(_layers(graph, visited, frontier, workers), 1):
+        np.bitwise_or(residues[depth % 3], new, out=residues[depth % 3])
+        if K.bitset_test(new, probe)[0]:
+            break
+    else:
+        raise AssertionError("target not reached; graph should be connected")
+    sequence = []
+    current = target
+    for depth in range(depth, 0, -1):
+        for i in graph.flip_indices:
+            step = graph.apply(current, i)
+            probe[0] = graph.rank(step)
+            if K.bitset_test(residues[(depth - 1) % 3], probe)[0]:
+                sequence.append(i)
+                current = step
+                break
+        else:
+            raise AssertionError("no descending neighbor; layer residues inconsistent")
+    return tuple(sequence)
+
+
 def distance(
     graph: PancakeGraph,
     target: Perm | SignedPerm,
@@ -323,17 +357,7 @@ def distance(
     workers: int = 1,
 ) -> int:
     """Minimum number of flips taking ``target`` to the identity (early exit)."""
-    target_rank = graph.rank(target)
-    if target_rank == 0:
-        return 0
-    visited, frontier = _start(
-        graph, memory_limit, workers, False, f"distance query in {graph}"
-    )
-    probe = np.array([target_rank], dtype=np.int64)
-    for layer, (new, _) in enumerate(_layers(graph, visited, frontier, workers), 1):
-        if K.bitset_test(new, probe)[0]:
-            return layer
-    raise AssertionError("target not reached; graph should be connected")
+    return len(_walk(graph, target, memory_limit, workers, f"distance query in {graph}"))
 
 
 def sort_sequence(
@@ -345,35 +369,10 @@ def sort_sequence(
 ) -> tuple[int, ...]:
     """Lexicographically smallest optimal flip sequence sorting ``target``.
 
-    Runs the layered BFS keeping a byte-sized layer number per vertex, then
-    descends from ``target`` greedily taking the smallest flip index that
-    decreases the layer number.
+    Runs the layered BFS up to the target's layer, OR-ing layer k into
+    residue bitset k mod 3, then descends from ``target`` greedily taking the
+    smallest flip index whose result lies in the residue of the layer below.
+    A layer-d vertex has neighbours only in layers d - 1, d and d + 1, whose
+    residues differ, so that test picks exactly the layer-(d - 1) neighbours.
     """
-    target_rank = graph.rank(target)
-    if target_rank == 0:
-        return ()
-    visited, frontier = _start(
-        graph, memory_limit, workers, True, f"sort sequence in {graph}"
-    )
-    layer_of = np.full(graph.size, 255, dtype=np.uint8)
-    layer_of[0] = 0
-    for layer, (new, _) in enumerate(_layers(graph, visited, frontier, workers), 1):
-        if layer > 254:
-            raise AssertionError("layer number overflows the byte-sized layer map")
-        layer_of[K.bitset_extract_ranks(new)] = layer
-        if layer_of[target_rank] != 255:
-            break
-    else:
-        raise AssertionError("target not reached; graph should be connected")
-    sequence = []
-    current = target
-    for depth in range(int(layer_of[target_rank]), 0, -1):
-        for i in graph.flip_indices:
-            step = graph.apply(current, i)
-            if layer_of[graph.rank(step)] == depth - 1:
-                sequence.append(i)
-                current = step
-                break
-        else:
-            raise AssertionError("no descending neighbor; layer map inconsistent")
-    return tuple(sequence)
+    return _walk(graph, target, memory_limit, workers, f"sort sequence in {graph}")

@@ -180,6 +180,14 @@ class TestFamilies:
         with pytest.raises(UnsupportedLengthError):
             families_for(BURNT, 6)
 
+    def test_all_instances_walks_every_k_from_one(self):
+        # family 26's k = 2 instance is the single 8-cycle of BP_2
+        for fam in FAMILIES:
+            expected = [p for k in range(1, 9) for p in fam.instances(k)]
+            assert list(fam.all_instances(8)) == expected, fam.id
+        f26 = next(fam for fam in FAMILIES if fam.id == 26)
+        assert list(f26.all_instances(3)) == [{"k": 2}, {"k": 3}]
+
     def test_every_instance_traces_a_simple_cycle(self):
         for fam in FAMILIES:
             for params in fam.all_instances(7):

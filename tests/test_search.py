@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import naive_distance_map, naive_layer_counts
+from pancakes._kernels import bitset_extract_ranks
 from pancakes.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from pancakes.graphs import GraphKind, PancakeGraph
 from pancakes.perms import Perm, PermError, SignedPerm
@@ -24,6 +25,8 @@ from pancakes.search import (
 
 PLAIN = GraphKind.PLAIN
 BURNT = GraphKind.BURNT
+# graphs whose traced peak memory is checked against required_memory
+PEAK_GRAPHS = [(PLAIN, n) for n in range(6, 11)] + [(BURNT, n) for n in range(4, 8)]
 
 
 def graph(kind, n):
@@ -131,9 +134,7 @@ class TestMemoryAccounting:
         assert required_memory(g, with_layer_map=True) > required_memory(g)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize(
-        "kind,n", [(PLAIN, n) for n in range(6, 11)] + [(BURNT, n) for n in range(4, 8)]
-    )
+    @pytest.mark.parametrize("kind,n", PEAK_GRAPHS)
     def test_estimate_covers_traced_peak(self, kind, n, workers):
         g = graph(kind, n)
         tracemalloc.start()
@@ -143,6 +144,38 @@ class TestMemoryAccounting:
         finally:
             tracemalloc.stop()
         assert peak <= required_memory(g, workers=workers)
+
+    @pytest.fixture(scope="class")
+    def last_layer_vertex(self, tmp_path_factory):
+        """A vertex of the graph's last layer, read from a checkpoint's frontier."""
+        found = {}
+
+        def vertex(g):
+            if g not in found:
+                path = tmp_path_factory.mktemp("last") / "g.ckpt"
+                layer_profile(g, max_layer=layer_profile(g).depth, checkpoint_path=path)
+                frontier = read_checkpoint(path).frontier
+                found[g] = g.unrank(int(bitset_extract_ranks(frontier)[0]))
+            return found[g]
+
+        return vertex
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind,n", PEAK_GRAPHS)
+    def test_estimate_covers_traced_peak_of_queries(
+        self, kind, n, workers, last_layer_vertex
+    ):
+        # a last-layer target makes the query search the whole graph
+        g = graph(kind, n)
+        target = last_layer_vertex(g)
+        tracemalloc.start()
+        try:
+            distance(g, target, workers=workers)
+            sort_sequence(g, target, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= required_memory(g, workers=workers, with_layer_map=True)
 
     def test_env_variable_sets_default(self, monkeypatch):
         monkeypatch.setenv(MEMORY_LIMIT_ENV, "5000")
@@ -330,7 +363,8 @@ class TestSortSequence:
         assert sort_sequence(graph(BURNT, 2), SignedPerm((2, 1))) == (1, 2, 1)
 
     def test_sequence_sorts_and_is_lex_smallest_optimum(self):
-        for kind, n in [(PLAIN, 4), (BURNT, 2), (BURNT, 3)]:
+        # BP_4 has diameter 8, so the descent wraps the layer residues twice
+        for kind, n in [(PLAIN, 4), (PLAIN, 5), (BURNT, 2), (BURNT, 3), (BURNT, 4)]:
             g = graph(kind, n)
             dist_map = naive_distance_map(n, kind is BURNT)
             for entries, d in dist_map.items():
