@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TextIO
 
 from .cycles import (
     InfeasibleSizeError,
@@ -57,34 +57,13 @@ from .search import (
 )
 from .checkpoint import CheckpointError
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_USAGE = 2
 EXIT_VIOLATION = 3
 EXIT_CONJECTURE = 4
-
-
-@dataclass(slots=True)
-class RunConfig:
-    """Everything a subcommand needs besides its own positional arguments."""
-
-    kind: GraphKind | None = None
-    ns: tuple[int, ...] = ()
-    k: int | None = None
-    memory_limit: int | None = None  # None: PANCAKE_MEM_LIMIT or default
-    workers: int = 1
-    output_format: str = "csv"
-    checkpoint_path: str | None = None
-    output_path: str | None = None
-    node_budget: int | None = None
-
-    out: object = field(default=None, repr=False)  # writable stream
-
-    def write(self, text: str) -> None:
-        stream = self.out if self.out is not None else sys.stdout
-        stream.write(text)
 
 
 def parse_n_range(text: str) -> tuple[int, ...]:
@@ -145,14 +124,17 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="checkpoint file (single n only); resumed if it already exists",
     )
+    table.set_defaults(run=cmd_table)
 
     dist = sub.add_parser("distance", help="flips needed to sort one stack")
     _add_common(dist)
     dist.add_argument("perm", nargs="+", help="permutation entries or \"[...]\"")
+    dist.set_defaults(run=cmd_distance)
 
     sort = sub.add_parser("sort", help="optimal flip sequence for one stack")
     _add_common(sort)
     sort.add_argument("perm", nargs="+", help="permutation entries or \"[...]\"")
+    sort.set_defaults(run=cmd_sort)
 
     cycles = sub.add_parser("cycles", help="census of cycles through the identity")
     _add_common(cycles)
@@ -160,6 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     cycles.add_argument("--length", required=True, type=int, help="cycle length")
     cycles.add_argument("--node-budget", type=int, help="DFS node estimate cap")
     cycles.add_argument("--format", choices=("text", "json"), default="text")
+    cycles.set_defaults(run=cmd_cycles)
 
     formulas = sub.add_parser("formulas", help="closed forms and identities")
     formulas_sub = formulas.add_subparsers(dest="formulas_command", required=True)
@@ -174,6 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--k", type=int, help="flip count (identities only)")
     _add_common(check, graph=False)
     check.add_argument("--format", choices=("text", "json"), default="text")
+    check.set_defaults(run=cmd_formulas_check)
 
     fit = formulas_sub.add_parser(
         "fit", help="fit an integer polynomial to one layer column of BFS data"
@@ -182,56 +166,39 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--k", required=True, type=int, help="layer to fit")
     fit.add_argument("--n", required=True, metavar="LO..HI", help="fitting window")
     fit.add_argument("--format", choices=("text", "json"), default="text")
+    fit.set_defaults(run=cmd_formulas_fit)
 
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
-    if getattr(args, "graph", None) is not None:
-        config.kind = GraphKind.parse(args.graph)
-    if getattr(args, "n", None) is not None:
-        config.ns = parse_n_range(str(args.n))
-    config.k = getattr(args, "k", None)
-    config.memory_limit = getattr(args, "memory_limit", None)
-    config.workers = getattr(args, "workers", 1)
-    config.output_format = getattr(args, "format", "csv")
-    config.checkpoint_path = getattr(args, "checkpoint", None)
-    config.output_path = getattr(args, "output", None)
-    config.node_budget = getattr(args, "node_budget", None)
-    if config.workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {config.workers}")
-    return config
-
-
-def _profile(config: RunConfig, n: int) -> LayerProfile:
-    graph = PancakeGraph(config.kind, n)
-    if config.checkpoint_path and Path(config.checkpoint_path).exists():
+def _profile(args: argparse.Namespace, n: int) -> LayerProfile:
+    graph = PancakeGraph(args.kind, n)
+    if args.checkpoint and Path(args.checkpoint).exists():
         return resume(
-            config.checkpoint_path,
-            memory_limit=config.memory_limit,
-            workers=config.workers,
-            max_layer=config.k,
+            args.checkpoint,
+            memory_limit=args.memory_limit,
+            workers=args.workers,
+            max_layer=args.k,
             expect=graph,
         )
     return layer_profile(
         graph,
-        memory_limit=config.memory_limit,
-        workers=config.workers,
-        checkpoint_path=config.checkpoint_path,
-        max_layer=config.k,
+        memory_limit=args.memory_limit,
+        workers=args.workers,
+        checkpoint_path=args.checkpoint,
+        max_layer=args.k,
     )
 
 
-def cmd_table(config: RunConfig) -> int:
-    if config.checkpoint_path and len(config.ns) > 1:
+def cmd_table(args: argparse.Namespace, out: TextIO) -> int:
+    if args.checkpoint and len(args.ns) > 1:
         raise ValueError("--checkpoint requires a single n, not a range")
-    profiles = [_profile(config, n) for n in config.ns]
-    if config.output_format == "json":
-        config.write(render(table_document(config.kind, profiles)))
+    profiles = [_profile(args, n) for n in args.ns]
+    if args.format == "json":
+        out.write(render(table_document(args.kind, profiles)))
         return EXIT_OK
-    if config.k is not None:
-        width = config.k + 1
+    if args.k is not None:
+        width = args.k + 1
     else:
         width = max(len(p.counts) for p in profiles)
     lines = []
@@ -242,31 +209,28 @@ def cmd_table(config: RunConfig) -> int:
             assert p.complete
             counts.extend([0] * (width - len(counts)))
         lines.append(",".join(str(c) for c in [p.n, *counts]))
-    config.write("\n".join(lines) + "\n")
+    out.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def _parse_cli_perm(config: RunConfig, tokens: list[str]):
-    text = " ".join(tokens)
-    value = parse_perm(text)
-    graph = PancakeGraph(config.kind, value.n)
+def _parse_cli_perm(args: argparse.Namespace):
+    value = parse_perm(" ".join(args.perm))
+    graph = PancakeGraph(args.kind, value.n)
     graph.check_vertex(value)  # rejects a kind mismatch with a clear message
     return graph, value
 
 
-def cmd_distance(config: RunConfig, tokens: list[str]) -> int:
-    graph, value = _parse_cli_perm(config, tokens)
-    d = distance(
-        graph, value, memory_limit=config.memory_limit, workers=config.workers
-    )
-    config.write(f"{d}\n")
+def cmd_distance(args: argparse.Namespace, out: TextIO) -> int:
+    graph, value = _parse_cli_perm(args)
+    d = distance(graph, value, memory_limit=args.memory_limit, workers=args.workers)
+    out.write(f"{d}\n")
     return EXIT_OK
 
 
-def cmd_sort(config: RunConfig, tokens: list[str]) -> int:
-    graph, value = _parse_cli_perm(config, tokens)
+def cmd_sort(args: argparse.Namespace, out: TextIO) -> int:
+    graph, value = _parse_cli_perm(args)
     flips = sort_sequence(
-        graph, value, memory_limit=config.memory_limit, workers=config.workers
+        graph, value, memory_limit=args.memory_limit, workers=args.workers
     )
     lines = [format_perm(value)]
     current = value
@@ -275,21 +239,18 @@ def cmd_sort(config: RunConfig, tokens: list[str]) -> int:
         lines.append(f"  flip {i} -> {format_perm(current)}")
     lines.append(f"flips: {' '.join(map(str, flips)) if flips else '(none)'}")
     lines.append(f"distance: {len(flips)}")
-    config.write("\n".join(lines) + "\n")
+    out.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_cycles(config: RunConfig, n: int, length: int) -> int:
-    graph = PancakeGraph(config.kind, n)
-    kwargs = {}
-    if config.node_budget is not None:
-        kwargs["node_budget"] = config.node_budget
-    report = verify_classification(graph, length, **kwargs)
-    if config.output_format == "json":
-        config.write(render(census_document(report)))
+def cmd_cycles(args: argparse.Namespace, out: TextIO) -> int:
+    graph = PancakeGraph(args.kind, args.n)
+    report = verify_classification(graph, args.length, node_budget=args.node_budget)
+    if args.format == "json":
+        out.write(render(census_document(report)))
     else:
         lines = [
-            f"cycle census: {graph}, length {length}",
+            f"cycle census: {graph}, length {args.length}",
             f"total cycles through the identity: {report.total}",
         ]
         for family_id, tally in sorted(report.per_family.items()):
@@ -304,7 +265,7 @@ def cmd_cycles(config: RunConfig, n: int, length: int) -> int:
                 lines.append(f"  {form}")
         else:
             lines.append("unmatched forms: none")
-        config.write("\n".join(lines) + "\n")
+        out.write("\n".join(lines) + "\n")
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
@@ -315,42 +276,42 @@ def _identity_exit(which: str, verdict: Verdict) -> int:
     return EXIT_OK
 
 
-def cmd_formulas_check(config: RunConfig, which: str) -> int:
-    name = which.strip().lower()
+def cmd_formulas_check(args: argparse.Namespace, out: TextIO) -> int:
+    name = args.which.strip().lower()
     if name in ("cor62", "con63"):
-        if config.k is None:
+        if args.k is None:
             raise ValueError(f"--k is required when checking {name}")
-        if len(config.ns) != 1:
+        if len(args.ns) != 1:
             raise ValueError(f"{name} checks one n at a time, got a range")
-        (n,) = config.ns
+        (n,) = args.ns
         checker = check_recurrence_cor62 if name == "cor62" else check_gregory_newton_con63
-        report = checker(config.k, n)
-        if config.output_format == "json":
-            config.write(render(identity_document(report)))
+        report = checker(args.k, n)
+        if args.format == "json":
+            out.write(render(identity_document(report)))
         else:
             detail = ""
             if report.verdict in (Verdict.HOLDS, Verdict.FAILS):
                 detail = f" (lhs={report.lhs}, rhs={report.rhs})"
             elif report.reason:
                 detail = f" ({report.reason})"
-            config.write(
+            out.write(
                 f"{name} at k={report.k}, n={report.n}: {report.verdict.value}{detail}\n"
             )
         return _identity_exit(name, report.verdict)
 
-    spec = get_formula(which)
+    spec = get_formula(args.which)
     profiles = [
         layer_profile(
             PancakeGraph(spec.kind, n),
-            memory_limit=config.memory_limit,
-            workers=config.workers,
+            memory_limit=args.memory_limit,
+            workers=args.workers,
             max_layer=spec.k,
         )
-        for n in config.ns
+        for n in args.ns
     ]
-    report = crosscheck(which, profiles)
-    if config.output_format == "json":
-        config.write(render(crosscheck_document(report)))
+    report = crosscheck(args.which, profiles)
+    if args.format == "json":
+        out.write(render(crosscheck_document(report)))
     else:
         lines = [f"{report.name} ({report.status.value}) vs search output"]
         for row in report.rows:
@@ -364,7 +325,7 @@ def cmd_formulas_check(config: RunConfig, which: str) -> int:
             skipped = ", ".join(map(str, report.skipped))
             lines.append(f"  outside validity, skipped: n={skipped}")
         lines.append(f"result: {report.summary}")
-        config.write("\n".join(lines) + "\n")
+        out.write("\n".join(lines) + "\n")
     if report.ok:
         return EXIT_OK
     if report.status is FormulaStatus.CONJECTURED:
@@ -372,24 +333,24 @@ def cmd_formulas_check(config: RunConfig, which: str) -> int:
     return EXIT_VIOLATION
 
 
-def cmd_formulas_fit(config: RunConfig) -> int:
-    if config.k is None or config.k < 0:
+def cmd_formulas_fit(args: argparse.Namespace, out: TextIO) -> int:
+    if args.k is None or args.k < 0:
         raise ValueError("--k must be a nonnegative layer index")
     points = []
-    for n in config.ns:
+    for n in args.ns:
         profile = layer_profile(
-            PancakeGraph(config.kind, n),
-            memory_limit=config.memory_limit,
-            workers=config.workers,
-            max_layer=config.k,
+            PancakeGraph(args.kind, n),
+            memory_limit=args.memory_limit,
+            workers=args.workers,
+            max_layer=args.k,
         )
-        value = profile.counts[config.k] if config.k < len(profile.counts) else 0
+        value = profile.counts[args.k] if args.k < len(profile.counts) else 0
         points.append((n, value))
     fit = fit_newton(points)
-    if config.output_format == "json":
-        config.write(render(fit_document(config.kind, config.k, points, fit)))
+    if args.format == "json":
+        out.write(render(fit_document(args.kind, args.k, points, fit)))
     else:
-        config.write(
+        out.write(
             f"degree {fit.degree} in the binomial basis at n0={fit.n0}\n"
             f"coefficients: {' '.join(map(str, fit.coefficients))}\n"
         )
@@ -404,32 +365,23 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
     try:
-        config = _config_from(args)
-        out_file = None
-        if config.output_path:
-            try:
-                out_file = open(config.output_path, "w", encoding="utf-8")
-            except OSError as exc:
-                print(f"error: cannot open output: {exc}", file=sys.stderr)
-                return EXIT_IO
-            config.out = out_file
+        # shared checks, run before --output is opened; --graph and --n are
+        # parsed once into args.kind and args.ns
+        if "graph" in args:
+            args.kind = GraphKind.parse(args.graph)
+        if "n" in args:
+            args.ns = parse_n_range(str(args.n))
+        if args.workers < 1:
+            raise ValueError(f"--workers must be >= 1, got {args.workers}")
+        if not args.output:
+            return args.run(args, sys.stdout)
         try:
-            if args.command == "table":
-                return cmd_table(config)
-            if args.command == "distance":
-                return cmd_distance(config, args.perm)
-            if args.command == "sort":
-                return cmd_sort(config, args.perm)
-            if args.command == "cycles":
-                return cmd_cycles(config, args.n, args.length)
-            if args.command == "formulas":
-                if args.formulas_command == "check":
-                    return cmd_formulas_check(config, args.which)
-                return cmd_formulas_fit(config)
-            raise AssertionError(f"unhandled command {args.command!r}")
-        finally:
-            if out_file is not None:
-                out_file.close()
+            out = open(args.output, "w", encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot open output: {exc}", file=sys.stderr)
+            return EXIT_IO
+        with out:
+            return args.run(args, out)
     except (ParseError, PermError) as exc:
         token = getattr(exc, "token", None)
         where = f" (offending token: {token!r})" if token else ""

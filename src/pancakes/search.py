@@ -112,19 +112,22 @@ def required_memory(
 ) -> int:
     """Upper estimate of the bytes a search on ``graph`` will allocate."""
     size = graph.size
-    word_bytes = 8 * ((size + 63) // 64)
+    nwords = (size + 63) // 64
     chunk = min(_CHUNK, size)
     # visited + frontier + one candidate bitset per worker, and with the layer
     # map the three layer-residue bitsets of a query (see sort_sequence)
-    bitsets = (2 + workers + 3 * with_layer_map) * word_bytes
+    bitsets = (2 + workers + 3 * with_layer_map) * 8 * nwords
     # per-worker batch buffers: up to three (chunk, n) byte arrays (the
     # unranked batch, one flipped copy and, in BP_n, its absolute values) plus
     # up to six int64 temporaries (unrank's divmod, neighbour ranks, bitset
     # test/set shifts and word indices)
     buffers = workers * chunk * (3 * graph.n + 48)
-    # frontier extraction temporaries (unpacked bits and rank indices)
-    scratch = 4 * size
-    return bitsets + buffers + scratch
+    # per-worker extraction of one frontier block: unpackbits' byte per bit
+    # plus flatnonzero's int64 per set bit
+    extraction = workers * 9 * 64 * min(_BLOCK_WORDS, nwords)
+    # bitset_popcount: np.bitwise_count's uint8 per frontier word
+    popcount = nwords
+    return bitsets + buffers + extraction + popcount
 
 
 def _check_memory(

@@ -1,6 +1,10 @@
 """Command-line behavior: output shapes, exit codes, error diagnostics."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -498,6 +502,61 @@ def test_formulas_search_only_to_layer_k(capsys, monkeypatch, argv, k):
     code, _, _ = run(capsys, "formulas", *argv)
     assert code == EXIT_OK
     assert seen and all(layer == k for layer in seen)
+
+
+EVERY_SUBCOMMAND = {
+    "table-csv": ("table", "--graph", "plain", "--n", "4"),
+    "table-json": ("table", "--graph", "burnt", "--n", "2..3", "--format", "json"),
+    "distance": ("distance", "--graph", "burnt", "[-1 -2]"),
+    "sort": ("sort", "--graph", "plain", "3", "1", "4", "2"),
+    "cycles-text": ("cycles", "--graph", "burnt", "--n", "3", "--length", "8"),
+    "cycles-json": ("cycles", "--graph", "burnt", "--n", "3", "--length", "8",
+                    "--format", "json"),
+    "check-text": ("formulas", "check", "--which", "r4-burnt", "--n", "1..4"),
+    "check-json": ("formulas", "check", "--which", "r4-burnt", "--n", "1..4",
+                   "--format", "json"),
+    "fit-text": ("formulas", "fit", "--graph", "plain", "--k", "2", "--n", "3..7"),
+    "fit-json": ("formulas", "fit", "--graph", "plain", "--k", "2", "--n", "3..7",
+                 "--format", "json"),
+}
+
+
+@pytest.mark.parametrize(
+    "argv", EVERY_SUBCOMMAND.values(), ids=EVERY_SUBCOMMAND.keys()
+)
+class TestSharedOptions:
+    def test_output_file_holds_stdout(self, capsys, tmp_path, argv):
+        code, expected, _ = run(capsys, *argv)
+        assert code == EXIT_OK and expected
+        target = tmp_path / "out"
+        code, out, _ = run(capsys, *argv, "--output", str(target))
+        assert code == EXIT_OK and out == ""
+        assert target.read_text() == expected
+
+    def test_zero_workers_rejected_before_output_opens(self, capsys, tmp_path, argv):
+        target = tmp_path / "out"
+        code, _, err = run(capsys, *argv, "--workers", "0", "--output", str(target))
+        assert code == EXIT_USAGE and "--workers must be >= 1" in err
+        assert not target.exists()
+
+
+class TestModuleEntryPoint:
+    """``python -m pancakes`` passes main's exit code to the shell."""
+
+    def run_module(self, tmp_path, *argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        return subprocess.run(
+            [sys.executable, "-m", "pancakes", *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+
+    def test_success(self, tmp_path):
+        proc = self.run_module(tmp_path, "table", "--graph", "plain", "--n", "4")
+        assert proc.returncode == EXIT_OK and proc.stdout == "4,1,3,6,11,3\n"
+
+    def test_usage_error(self, tmp_path):
+        proc = self.run_module(tmp_path, "table", "--graph", "spicy", "--n", "4")
+        assert proc.returncode == EXIT_USAGE and "spicy" in proc.stderr
 
 
 class TestUsage:

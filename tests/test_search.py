@@ -133,6 +133,10 @@ class TestMemoryAccounting:
         assert required_memory(g, workers=4) > required_memory(g, workers=1)
         assert required_memory(g, with_layer_map=True) > required_memory(g)
 
+    @pytest.mark.parametrize("kind,n", [(PLAIN, 13), (BURNT, 10)])
+    def test_largest_graphs_fit_default_limit(self, kind, n):
+        assert required_memory(graph(kind, n)) < DEFAULT_MEMORY_LIMIT
+
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("kind,n", PEAK_GRAPHS)
     def test_estimate_covers_traced_peak(self, kind, n, workers):
