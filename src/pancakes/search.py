@@ -114,8 +114,9 @@ def required_memory(
     size = graph.size
     nwords = (size + 63) // 64
     chunk = min(_CHUNK, size)
-    # visited + frontier + one candidate bitset per worker, and with the layer
-    # map the three layer-residue bitsets of a query (see sort_sequence)
+    # visited + the frontier being expanded + one candidate bitset per worker
+    # (no caller keeps the start frontier alive past layer 1), and with the
+    # layer map the three layer-residue bitsets of a query (see sort_sequence)
     bitsets = (2 + workers + 3 * with_layer_map) * 8 * nwords
     # per-worker batch buffers: up to three (chunk, n) byte arrays (the
     # unranked batch, one flipped copy and, in BP_n, its absolute values) plus
@@ -125,8 +126,9 @@ def required_memory(
     # per-worker extraction of one frontier block: unpackbits' byte per bit
     # plus flatnonzero's int64 per set bit
     extraction = workers * 9 * 64 * min(_BLOCK_WORDS, nwords)
-    # bitset_popcount: np.bitwise_count's uint8 per frontier word
-    popcount = nwords
+    # bitset_popcount: np.bitwise_count's uint8 per frontier word, and the
+    # buffer in which sum() casts them to uint64, np.getbufsize() at most
+    popcount = nwords + 8 * min(nwords, np.getbufsize())
     return bitsets + buffers + extraction + popcount
 
 
@@ -230,14 +232,12 @@ def _layers(
 def _run_layers(
     graph: PancakeGraph,
     visited: np.ndarray,
-    frontier: np.ndarray,
+    layers: Iterator[tuple[np.ndarray, int]],
     counts: list[int],
     *,
-    workers: int,
     checkpoint_path: str | os.PathLike | None,
     max_layer: int | None,
 ) -> LayerProfile:
-    layers = _layers(graph, visited, frontier, workers)
     found = 1
     while found and (max_layer is None or len(counts) - 1 < max_layer):
         new, found = next(layers)
@@ -268,14 +268,12 @@ def layer_profile(
     )
     counts = [1]
     _save(checkpoint_path, graph, counts, visited, frontier)
+    layers = _layers(graph, visited, frontier, workers)
+    # only the generator may keep the start frontier, so that it is freed
+    # once layer 1 replaces it; required_memory counts one frontier
+    del frontier
     return _run_layers(
-        graph,
-        visited,
-        frontier,
-        counts,
-        workers=workers,
-        checkpoint_path=checkpoint_path,
-        max_layer=max_layer,
+        graph, visited, layers, counts, checkpoint_path=checkpoint_path, max_layer=max_layer
     )
 
 
@@ -306,14 +304,11 @@ def resume(
         )
     what = f"resumed layer profile of {graph}"
     _check_memory(graph, memory_limit, workers, False, what)
+    visited, counts = cp.visited, list(cp.counts)
+    layers = _layers(graph, visited, cp.frontier, workers)
+    del cp  # as in layer_profile: the generator alone holds the frontier
     return _run_layers(
-        graph,
-        cp.visited,
-        cp.frontier,
-        list(cp.counts),
-        workers=workers,
-        checkpoint_path=checkpoint_path,
-        max_layer=max_layer,
+        graph, visited, layers, counts, checkpoint_path=checkpoint_path, max_layer=max_layer
     )
 
 
@@ -329,7 +324,9 @@ def _walk(
     if target_rank == 0:
         return ()
     visited, frontier = _start(graph, memory_limit, workers, True, what)
-    residues = [frontier.copy(), K.bitset_alloc(graph.size), K.bitset_alloc(graph.size)]
+    # layer 0 is the start frontier itself: the generator reads it only to
+    # expand layer 1, and residue 0 is first OR-ed into at layer 3
+    residues = [frontier, K.bitset_alloc(graph.size), K.bitset_alloc(graph.size)]
     probe = np.array([target_rank], dtype=np.int64)
     for depth, (new, _) in enumerate(_layers(graph, visited, frontier, workers), 1):
         np.bitwise_or(residues[depth % 3], new, out=residues[depth % 3])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import naive_distance_map, naive_layer_counts
+from pancakes import search
 from pancakes._kernels import bitset_extract_ranks
 from pancakes.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from pancakes.graphs import GraphKind, PancakeGraph
@@ -27,6 +28,19 @@ PLAIN = GraphKind.PLAIN
 BURNT = GraphKind.BURNT
 # graphs whose traced peak memory is checked against required_memory
 PEAK_GRAPHS = [(PLAIN, n) for n in range(6, 11)] + [(BURNT, n) for n in range(4, 8)]
+# graphs whose bitsets dominate the traced peak once the per-worker buffers
+# are shrunk; the first three layers keep every bitset of a search alive
+BITSET_GRAPHS = [(PLAIN, 10), (BURNT, 8)]
+
+
+def traced_peak(run, *args, **kwargs):
+    """Peak bytes traced by tracemalloc while ``run(*args, **kwargs)`` runs."""
+    tracemalloc.start()
+    try:
+        run(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def graph(kind, n):
@@ -179,6 +193,28 @@ class TestMemoryAccounting:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak <= required_memory(g, workers=workers, with_layer_map=True)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind,n", BITSET_GRAPHS)
+    def test_estimate_counts_every_live_bitset(
+        self, kind, n, workers, monkeypatch, tmp_path
+    ):
+        # at the real sizes the chunk and block buffers are tens of MB and
+        # would hide a bitset the estimate missed
+        monkeypatch.setattr(search, "_CHUNK", 1 << 10)
+        monkeypatch.setattr(search, "_BLOCK_WORDS", 1 << 4)
+        g = graph(kind, n)
+        path = tmp_path / "g.ckpt"
+        estimate = required_memory(g, workers=workers)
+        peak = traced_peak(
+            layer_profile, g, workers=workers, checkpoint_path=path, max_layer=3
+        )
+        assert peak <= estimate
+        target = g.unrank(int(bitset_extract_ranks(read_checkpoint(path).frontier)[0]))
+        layer_profile(g, checkpoint_path=path, max_layer=1)
+        assert traced_peak(resume, path, workers=workers, max_layer=3) <= estimate
+        peak = traced_peak(sort_sequence, g, target, workers=workers)
         assert peak <= required_memory(g, workers=workers, with_layer_map=True)
 
     def test_env_variable_sets_default(self, monkeypatch):
