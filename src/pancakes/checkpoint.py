@@ -192,6 +192,70 @@ def write_checkpoint(path: str | os.PathLike, cp: SearchCheckpoint) -> None:
     os.replace(tmp, path)
 
 
+@dataclass(frozen=True, slots=True)
+class _Header:
+    """A checkpoint's header, checked against the file size."""
+
+    raw: bytes
+    kind: GraphKind
+    n: int
+    completed_layer: int
+    layer_count: int
+    words: int
+
+
+def _read_header(fh) -> _Header:
+    """Read and validate the header; ``fh`` is left at the layer counts."""
+    size = os.fstat(fh.fileno()).st_size
+    if size < _HEADER.size + _CRC.size:
+        raise CheckpointError("checkpoint file truncated")
+    raw = fh.read(_HEADER.size)
+    magic, version, kind_code, n, completed_layer, layer_count = _HEADER.unpack(raw)
+    if magic != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"bad magic {magic!r}")
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    try:
+        kind = GraphKind(kind_code)
+    except ValueError:
+        raise CheckpointError(f"unknown graph kind code {kind_code}") from None
+    try:
+        words = _expected_words(kind, n)
+    except PermError as exc:
+        raise CheckpointError(f"bad graph size in header: {exc}") from None
+    expected_len = _HEADER.size + 8 * layer_count + 16 * words
+    if size - _CRC.size != expected_len:
+        raise CheckpointError(
+            f"checkpoint length {size - _CRC.size} does not match kind={kind} n={n} "
+            f"with {layer_count} layers (expected {expected_len})"
+        )
+    return _Header(raw, kind, n, completed_layer, layer_count, words)
+
+
+_SCAN_BYTES = 1 << 16  # frontier bytes read at a time by _peek_checkpoint
+
+
+def _peek_checkpoint(path: str | os.PathLike) -> tuple[_Header, bool]:
+    """The validated header, and whether the stored frontier is empty.
+
+    The frontier is read in blocks of ``_SCAN_BYTES``, so no bit array is
+    allocated. Nothing is checksummed: :func:`read_checkpoint` must still
+    verify the file before anything read here is relied on.
+    """
+    with open(path, "rb") as fh:
+        header = _read_header(fh)
+        fh.seek(8 * (header.layer_count + header.words), os.SEEK_CUR)  # to the frontier
+        remaining = 8 * header.words
+        while remaining:
+            block = fh.read(min(_SCAN_BYTES, remaining))
+            if not block:
+                raise CheckpointError("checkpoint file truncated")
+            if block.count(0) != len(block):
+                return header, False
+            remaining -= len(block)
+    return header, True
+
+
 def read_checkpoint(path: str | os.PathLike) -> SearchCheckpoint:
     """Read and verify a checkpoint.
 
@@ -200,33 +264,11 @@ def read_checkpoint(path: str | os.PathLike) -> SearchCheckpoint:
     belong to the caller, who may update them in place.
     """
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size < _HEADER.size + _CRC.size:
-            raise CheckpointError("checkpoint file truncated")
-        header = fh.read(_HEADER.size)
-        magic, version, kind_code, n, completed_layer, layer_count = _HEADER.unpack(header)
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"bad magic {magic!r}")
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        try:
-            kind = GraphKind(kind_code)
-        except ValueError:
-            raise CheckpointError(f"unknown graph kind code {kind_code}") from None
-        try:
-            words = _expected_words(kind, n)
-        except PermError as exc:
-            raise CheckpointError(f"bad graph size in header: {exc}") from None
-        expected_len = _HEADER.size + 8 * layer_count + 16 * words
-        if size - _CRC.size != expected_len:
-            raise CheckpointError(
-                f"checkpoint length {size - _CRC.size} does not match kind={kind} n={n} "
-                f"with {layer_count} layers (expected {expected_len})"
-            )
-        crc = crc32c(header)
-        counts = np.empty(layer_count, dtype="<u8")
-        visited = np.empty(words, dtype="<u8")
-        frontier = np.empty(words, dtype="<u8")
+        header = _read_header(fh)
+        crc = crc32c(header.raw)
+        counts = np.empty(header.layer_count, dtype="<u8")
+        visited = np.empty(header.words, dtype="<u8")
+        frontier = np.empty(header.words, dtype="<u8")
         for array in (counts, visited, frontier):
             view = memoryview(array).cast("B")
             if fh.readinto(view) != len(view):
@@ -237,14 +279,20 @@ def read_checkpoint(path: str | os.PathLike) -> SearchCheckpoint:
         raise CheckpointError("checkpoint file truncated")
     if crc != _CRC.unpack(trailer)[0]:
         raise CheckpointError("checkpoint checksum mismatch")
-    if completed_layer != layer_count - 1:
+    if header.completed_layer != header.layer_count - 1:
         raise CheckpointError(
-            f"completed_layer {completed_layer} inconsistent with {layer_count} layer counts"
+            f"completed_layer {header.completed_layer} inconsistent with "
+            f"{header.layer_count} layer counts"
         )
     counts = tuple(counts.tolist())
     visited = visited.astype(np.uint64, copy=False)
     if int(np.bitwise_count(visited).sum()) != sum(counts):
         raise CheckpointError("visited popcount does not equal the sum of layer counts")
     return SearchCheckpoint(
-        kind, n, completed_layer, counts, visited, frontier.astype(np.uint64, copy=False)
+        header.kind,
+        header.n,
+        header.completed_layer,
+        counts,
+        visited,
+        frontier.astype(np.uint64, copy=False),
     )

@@ -1,9 +1,11 @@
 """Short-cycle enumeration and classification in pancake graphs.
 
-Every simple cycle of length L through the identity is found by a depth-L DFS
-(vertex transitivity makes the identity-rooted census representative of the
-whole graph). A cycle is reported by its canonical form: the lexicographically
-maximal flip-label sequence over all rotations of either traversal direction.
+Every simple cycle of length L through the identity is found by joining
+simple paths of about L/2 flips from the identity that end at the same vertex
+and share no other vertex (vertex transitivity makes the identity-rooted
+census representative of the whole graph). A cycle is reported by its
+canonical form: the lexicographically maximal flip-label sequence over all
+rotations of either traversal direction.
 
 The known classification results give parameterized label templates for every
 cycle of lengths 6-9 (plain) and 8-9 (burnt). ``match_form`` identifies which
@@ -341,8 +343,10 @@ def _flip_burnt(entries: tuple[int, ...], i: int) -> tuple[int, ...]:
 
 
 def _dfs_node_estimate(degree: int, length: int) -> int:
-    # After the first step the previous flip is never repeated, so the DFS
-    # tree branches by (degree - 1).
+    # Nodes a depth-``length`` DFS would expand: after the first step the
+    # previous flip is never repeated, so its tree branches by (degree - 1).
+    # The half-path join expands only the two depth-L/2 trees, about the
+    # square root of this, so as a gate the estimate is a conservative bound.
     return sum(degree * max(degree - 1, 1) ** (d - 1) for d in range(1, length + 1))
 
 
@@ -354,11 +358,17 @@ def enumerate_cycles(
 ) -> list[Cycle]:
     """All simple cycles of exactly ``length`` through the identity, each once.
 
-    Depth-``length`` DFS over flip labels in ascending order, pruning
-    revisited vertices; a traversal counts only when it closes at exact depth.
-    Each cycle has two identity-rooted traversals (one per direction); the one
-    whose first interior vertex is the lexicographically smaller tuple is kept. Output is
-    sorted by canonical form, then vertex ranks.
+    Meet in the middle: with a = ceil(L/2) and b = L - a, a traversal
+    v0 v1 ... v_{L-1} of a cycle from the identity v0 is a simple a-flip path
+    v0 ... v_a joined to a simple b-flip path v0 v_{L-1} ... v_a whose
+    interior is disjoint from the first path. One DFS collects the b-flip
+    paths by endpoint; a second DFS to depth a streams the a-flip paths and
+    joins each with the stored paths that end where it ends. Both DFSs take
+    flip labels in ascending order, never undo the previous flip and never
+    revisit a vertex. Each cycle has two identity-rooted traversals (one per
+    direction); the one whose first interior vertex is the lexicographically
+    smaller tuple is kept. Output is sorted by canonical form, then vertex
+    ranks.
     """
     if not 3 <= length <= 12:
         raise UnsupportedLengthError(
@@ -380,47 +390,58 @@ def enumerate_cycles(
     def rank_of(entries: tuple[int, ...]) -> int:
         return srank(SignedPerm(entries)) if burnt else rank(Perm(entries))
 
-    found: dict[tuple[tuple[int, ...], tuple[int, ...]], Cycle] = {}
     path: list[tuple[int, ...]] = [identity]
     on_path: set[tuple[int, ...]] = {identity}
     labels: list[int] = []
 
-    def record(closing_label: int) -> None:
-        if path[1] > path[-1]:
-            return  # the reverse traversal of a cycle already (or later) kept
-        form = canonicalize(labels + [closing_label])
-        ranks = tuple(sorted(rank_of(v) for v in path))
-        key = (form, ranks)
-        if key in found:
-            raise AssertionError(
-                f"two traversals of distinct cycles collided on {key}"
-            )
-        found[key] = Cycle(form, ranks)
-
-    def dfs(v: tuple[int, ...]) -> None:
-        depth = len(labels)
+    def walk(v: tuple[int, ...], depth: int, visit: Callable[[], None]) -> None:
+        """Call ``visit`` at each simple extension of ``path`` to ``depth`` flips."""
         previous = labels[-1] if labels else 0
-        closing = depth == length - 1
         for i in flips:
             if i == previous:
                 continue  # flips are involutions; this undoes the last step
             w = flip(v, i)
-            if closing:
-                if w == identity:
-                    record(i)
-                continue
-            if w == identity or w in on_path:
+            if w in on_path:
                 continue
             labels.append(i)
             path.append(w)
             on_path.add(w)
-            dfs(w)
+            if len(labels) == depth:
+                visit()
+            else:
+                walk(w, depth, visit)
             labels.pop()
             path.pop()
             on_path.remove(w)
 
-    if length >= 3 and graph.degree >= 2:
-        dfs(identity)
+    # endpoint -> (first vertex after the identity, interior vertices, labels
+    # in the order the joined traversal takes them) of each b-flip path
+    halves: dict[tuple[int, ...], list] = {}
+
+    def store() -> None:
+        halves.setdefault(path[-1], []).append(
+            (path[1], tuple(path[1:-1]), tuple(reversed(labels)))
+        )
+
+    found: dict[tuple[tuple[int, ...], tuple[int, ...]], Cycle] = {}
+
+    def join() -> None:
+        for last, interior, closing in halves.get(path[-1], ()):
+            if path[1] > last:
+                continue  # the reverse traversal of a cycle already (or later) kept
+            if not on_path.isdisjoint(interior):
+                continue
+            form = canonicalize(tuple(labels) + closing)
+            ranks = tuple(sorted(rank_of(v) for v in itertools.chain(path, interior)))
+            key = (form, ranks)
+            if key in found:
+                raise AssertionError(
+                    f"two traversals of distinct cycles collided on {key}"
+                )
+            found[key] = Cycle(form, ranks)
+
+    walk(identity, length // 2, store)
+    walk(identity, length - length // 2, join)
     return sorted(found.values(), key=lambda c: (c.labels, c.ranks))
 
 

@@ -32,6 +32,7 @@ from . import _kernels as K
 from .checkpoint import (
     CheckpointError,
     SearchCheckpoint,
+    _peek_checkpoint,
     read_checkpoint,
     write_checkpoint,
 )
@@ -291,19 +292,25 @@ def resume(
     the profile to layers 0..max_layer even when the checkpoint holds more.
     ``expect`` guards against resuming a checkpoint for a different graph.
     """
+    # decide from the header and a block-wise scan of the frontier whether a
+    # search will run, and refuse an oversized one before any bit array is
+    # read; read_checkpoint then verifies the checksum before any use
+    header, frontier_empty = _peek_checkpoint(checkpoint_path)
+    graph = PancakeGraph(header.kind, header.n)
+    if expect is not None and (graph.kind, graph.n) != (expect.kind, expect.n):
+        raise CheckpointError(f"checkpoint is for {graph}, expected {expect}")
+    done = frontier_empty or (
+        max_layer is not None and header.completed_layer >= max_layer
+    )
+    if not done:
+        what = f"resumed layer profile of {graph}"
+        _check_memory(graph, memory_limit, workers, False, what)
     cp = read_checkpoint(checkpoint_path)
-    if expect is not None and (cp.kind, cp.n) != (expect.kind, expect.n):
-        raise CheckpointError(
-            f"checkpoint is for {cp.graph}, expected {expect}"
-        )
-    graph = cp.graph
-    if cp.terminal or (max_layer is not None and cp.completed_layer >= max_layer):
+    if done:
         counts = cp.counts if max_layer is None else cp.counts[: max_layer + 1]
         return LayerProfile(
             graph.kind, graph.n, counts, complete=sum(counts) == graph.size
         )
-    what = f"resumed layer profile of {graph}"
-    _check_memory(graph, memory_limit, workers, False, what)
     visited, counts = cp.visited, list(cp.counts)
     layers = _layers(graph, visited, cp.frontier, workers)
     del cp  # as in layer_profile: the generator alone holds the frontier

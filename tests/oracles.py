@@ -3,13 +3,19 @@
 Everything here is deliberately written with a different algorithm than the
 package under test: function-composition flips, sort-and-index ranks,
 hash-set BFS over tuples, and label-product cycle enumeration. Slow but
-obviously correct at the small sizes the tests use.
+obviously correct at the small sizes the tests use. The one exception is
+``dfs_cycles_reference``, the package's own earlier cycle enumeration, kept
+to check that its replacement returns exactly the same list.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+
+from pancakes.cycles import Cycle, _flip_burnt, _flip_plain, canonicalize
+from pancakes.graphs import GraphKind, PancakeGraph
+from pancakes.perms import Perm, SignedPerm, rank, srank
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +171,66 @@ def brute_force_cycles(n: int, burnt: bool, L: int) -> set[tuple[tuple[int, ...]
         if ok:
             found.add((canonical_form(labels), tuple(sorted(interior))))
     return found
+
+
+def dfs_cycles_reference(graph: PancakeGraph, length: int) -> list[Cycle]:
+    """All simple ``length``-cycles through the identity by one depth-L DFS.
+
+    The enumeration ``enumerate_cycles`` ran before it joined half-length
+    paths, kept verbatim (without the length and node-budget gates) so that
+    the join can be checked against it list for list: same traversal
+    choice, same canonical forms and ranks, same order.
+    """
+    burnt = graph.kind is GraphKind.BURNT
+    flip = _flip_burnt if burnt else _flip_plain
+    flips = list(graph.flip_indices)
+    identity = tuple(range(1, graph.n + 1))
+
+    def rank_of(entries: tuple[int, ...]) -> int:
+        return srank(SignedPerm(entries)) if burnt else rank(Perm(entries))
+
+    found: dict[tuple[tuple[int, ...], tuple[int, ...]], Cycle] = {}
+    path: list[tuple[int, ...]] = [identity]
+    on_path: set[tuple[int, ...]] = {identity}
+    labels: list[int] = []
+
+    def record(closing_label: int) -> None:
+        if path[1] > path[-1]:
+            return  # the reverse traversal of a cycle already (or later) kept
+        form = canonicalize(labels + [closing_label])
+        ranks = tuple(sorted(rank_of(v) for v in path))
+        key = (form, ranks)
+        if key in found:
+            raise AssertionError(
+                f"two traversals of distinct cycles collided on {key}"
+            )
+        found[key] = Cycle(form, ranks)
+
+    def dfs(v: tuple[int, ...]) -> None:
+        depth = len(labels)
+        previous = labels[-1] if labels else 0
+        closing = depth == length - 1
+        for i in flips:
+            if i == previous:
+                continue  # flips are involutions; this undoes the last step
+            w = flip(v, i)
+            if closing:
+                if w == identity:
+                    record(i)
+                continue
+            if w == identity or w in on_path:
+                continue
+            labels.append(i)
+            path.append(w)
+            on_path.add(w)
+            dfs(w)
+            labels.pop()
+            path.pop()
+            on_path.remove(w)
+
+    if length >= 3 and graph.degree >= 2:
+        dfs(identity)
+    return sorted(found.values(), key=lambda c: (c.labels, c.ranks))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import brute_force_cycles, canonical_form
+from oracles import brute_force_cycles, canonical_form, dfs_cycles_reference
 from pancakes.cycles import (
     FAMILIES,
     UNMATCHED,
@@ -133,6 +133,17 @@ class TestEnumerate:
         for n in (2, 3, 4):
             for length in (3, 4, 5, 6, 7):
                 assert enumerate_cycles(graph(BURNT, n), length) == []
+
+    @pytest.mark.parametrize(
+        "kind,n", [(PLAIN, n) for n in range(1, 8)] + [(BURNT, n) for n in range(1, 6)]
+    )
+    def test_half_path_join_equals_depth_l_dfs(self, kind, n):
+        # same cycles, same traversal kept, same order
+        g = graph(kind, n)
+        for length in range(3, 10):
+            joined = [(c.labels, c.ranks) for c in enumerate_cycles(g, length)]
+            reference = [(c.labels, c.ranks) for c in dfs_cycles_reference(g, length)]
+            assert joined == reference, length
 
     def test_output_sorted_and_deterministic(self):
         first = enumerate_cycles(graph(PLAIN, 4), 8)
@@ -287,7 +298,9 @@ class TestVerifyClassification:
         [(PLAIN, 4, 6), (PLAIN, 4, 7), (PLAIN, 4, 8), (PLAIN, 4, 9),
          (PLAIN, 5, 6), (PLAIN, 5, 7), (PLAIN, 5, 8), (PLAIN, 5, 9),
          (BURNT, 2, 8), (BURNT, 3, 8), (BURNT, 4, 8),
-         (BURNT, 3, 9), (BURNT, 4, 9)],
+         (BURNT, 3, 9), (BURNT, 4, 9),
+         (PLAIN, 8, 9), (PLAIN, 9, 6), (PLAIN, 9, 7), (PLAIN, 9, 8),
+         (BURNT, 6, 9), (BURNT, 7, 8), (BURNT, 7, 9)],
     )
     def test_zero_unmatched(self, kind, n, length):
         report = verify_classification(graph(kind, n), length)
@@ -333,6 +346,17 @@ class TestVerifyClassification:
         assert report.ok
         assert {fid: t.count for fid, t in report.per_family.items()} == tallies
         assert report.total == sum(tallies.values())
+
+    def test_plain_per_vertex_totals(self):
+        # one 6-cycle, 7(n-3) = 42 7-cycles and (n^3+12n^2-103n+176)/2 = 475
+        # 8-cycles through each vertex of P_9 (Konstantinova & Medvedev,
+        # Ars Math. Contemp. 2014)
+        n = 9
+        totals = {
+            length: verify_classification(graph(PLAIN, n), length).total
+            for length in (6, 7, 8)
+        }
+        assert totals == {6: 1, 7: 7 * (n - 3), 8: (n**3 + 12 * n**2 - 103 * n + 176) // 2}
 
     def test_plain_eight_cycle_forms_match_instantiations(self):
         found = {c.labels for c in enumerate_cycles(graph(PLAIN, 4), 8)}

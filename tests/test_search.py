@@ -217,6 +217,18 @@ class TestMemoryAccounting:
         peak = traced_peak(sort_sequence, g, target, workers=workers)
         assert peak <= required_memory(g, workers=workers, with_layer_map=True)
 
+    def test_refused_resume_reads_no_bitset(self, tmp_path):
+        g = graph(PLAIN, 10)
+        path = tmp_path / "p10.ckpt"
+        layer_profile(g, checkpoint_path=path, max_layer=1)
+
+        def refused():
+            with pytest.raises(MemoryLimitError):
+                resume(path, memory_limit=10_000)
+
+        # one P_10 bitset is 453,600 bytes
+        assert traced_peak(refused) < (g.size + 7) // 8
+
     def test_env_variable_sets_default(self, monkeypatch):
         monkeypatch.setenv(MEMORY_LIMIT_ENV, "5000")
         with pytest.raises(MemoryLimitError) as info:
