@@ -91,10 +91,14 @@ def _add_common(parser: argparse.ArgumentParser, *, graph: bool = True) -> None:
         "--memory-limit",
         type=int,
         metavar="BYTES",
-        help="memory budget in bytes (default: $PANCAKE_MEM_LIMIT or 4 GiB)",
+        help="memory budget of layer tables in bytes (default: "
+        "$PANCAKE_MEM_LIMIT or 4 GiB)",
     )
     parser.add_argument(
-        "--workers", type=int, default=1, help="parallel BFS workers (default 1)"
+        "--workers",
+        type=int,
+        default=1,
+        help="parallel workers for layer tables (default 1)",
     )
     parser.add_argument(
         "--output", metavar="PATH", help="write results here instead of stdout"

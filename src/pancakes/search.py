@@ -1,4 +1,4 @@
-"""Bitset breadth-first search over pancake graphs.
+"""Bitset breadth-first search over pancake graphs, and single-stack queries.
 
 The visited set and the current frontier are flat bit arrays indexed by
 permutation rank — the only representation that scales to the interesting
@@ -6,17 +6,22 @@ sizes (BP_8 has ~10.3M vertices but its bitset is 1.3 MB). Each layer is
 expanded by scanning the frontier's set bits in blocks, unranking them,
 applying every flip with the vectorized kernels, ranking the neighbors, and
 setting the bits of previously unseen vertices; the popcount of the merged
-result is the next layer count. One generator runs this loop; profiles,
-resumed profiles, distances and sort sequences all consume its layers.
+result is the next layer count. One generator runs this loop; profiles and
+resumed profiles consume its layers.
+
+Distances and sort sequences of one stack do not search the whole graph:
+an iterative-deepening A* with the gap heuristic walks from the stack to the
+identity in memory linear in n, so it answers at sizes whose bitsets would
+not fit (Helmert, "Landmark heuristics for the pancake problem", 2010).
 
 Workers partition the frontier into contiguous word spans. Each worker fills
 a private candidate bitset and the results are OR-merged single-threaded
 between layers, so profiles are bit-identical for every worker count.
 
-Memory is accounted for up front: an operation that would exceed the limit
-refuses with the required size instead of thrashing. The default limit is
-4 GiB, overridable via the ``PANCAKE_MEM_LIMIT`` environment variable or the
-``memory_limit`` argument.
+Memory is accounted for up front: a layer search that would exceed the
+limit refuses with the required size instead of thrashing. The default
+limit is 4 GiB, overridable via the ``PANCAKE_MEM_LIMIT`` environment
+variable or the ``memory_limit`` argument.
 """
 
 from __future__ import annotations
@@ -111,13 +116,19 @@ def resolve_memory_limit(memory_limit: int | None) -> int:
 def required_memory(
     graph: PancakeGraph, *, workers: int = 1, with_layer_map: bool = False
 ) -> int:
-    """Upper estimate of the bytes a search on ``graph`` will allocate."""
+    """Upper estimate of the bytes a search on ``graph`` will allocate.
+
+    ``with_layer_map`` adds three bitsets that keep every layer by its index
+    mod 3, enough to find a vertex's layer. No search here keeps them (the
+    queries :func:`distance` and :func:`sort_sequence` hold no bitsets at
+    all); the term is for callers that budget a layer map of their own.
+    """
     size = graph.size
     nwords = (size + 63) // 64
     chunk = min(_CHUNK, size)
     # visited + the frontier being expanded + one candidate bitset per worker
     # (no caller keeps the start frontier alive past layer 1), and with the
-    # layer map the three layer-residue bitsets of a query (see sort_sequence)
+    # layer map its three residue bitsets
     bitsets = (2 + workers + 3 * with_layer_map) * 8 * nwords
     # per-worker batch buffers: up to three (chunk, n) byte arrays (the
     # unranked batch, one flipped copy and, in BP_n, its absolute values) plus
@@ -134,19 +145,19 @@ def required_memory(
 
 
 def _check_memory(
-    graph: PancakeGraph, limit: int | None, workers: int, layer_map: bool, what: str
+    graph: PancakeGraph, limit: int | None, workers: int, what: str
 ) -> None:
     limit = resolve_memory_limit(limit)
-    required = required_memory(graph, workers=workers, with_layer_map=layer_map)
+    required = required_memory(graph, workers=workers)
     if required > limit:
         raise MemoryLimitError(required, limit, what)
 
 
 def _start(
-    graph: PancakeGraph, limit: int | None, workers: int, layer_map: bool, what: str
+    graph: PancakeGraph, limit: int | None, workers: int, what: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Refuse an oversized search, else visited set and frontier of the identity."""
-    _check_memory(graph, limit, workers, layer_map, what)
+    _check_memory(graph, limit, workers, what)
     visited = K.bitset_alloc(graph.size)
     K.bitset_set(visited, np.zeros(1, dtype=np.int64))  # the identity always ranks 0
     return visited, visited.copy()
@@ -265,7 +276,7 @@ def layer_profile(
     ``max_layer`` stops after that many layers, leaving a resumable checkpoint.
     """
     visited, frontier = _start(
-        graph, memory_limit, workers, False, f"layer profile of {graph}"
+        graph, memory_limit, workers, f"layer profile of {graph}"
     )
     counts = [1]
     _save(checkpoint_path, graph, counts, visited, frontier)
@@ -304,7 +315,7 @@ def resume(
     )
     if not done:
         what = f"resumed layer profile of {graph}"
-        _check_memory(graph, memory_limit, workers, False, what)
+        _check_memory(graph, memory_limit, workers, what)
     cp = read_checkpoint(checkpoint_path)
     if done:
         counts = cp.counts if max_layer is None else cp.counts[: max_layer + 1]
@@ -319,41 +330,57 @@ def resume(
     )
 
 
-def _walk(
-    graph: PancakeGraph,
-    target: Perm | SignedPerm,
-    memory_limit: int | None,
-    workers: int,
-    what: str,
-) -> tuple[int, ...]:
-    """The flip sequence of :func:`sort_sequence`; :func:`distance` is its length."""
-    target_rank = graph.rank(target)
-    if target_rank == 0:
-        return ()
-    visited, frontier = _start(graph, memory_limit, workers, True, what)
-    # layer 0 is the start frontier itself: the generator reads it only to
-    # expand layer 1, and residue 0 is first OR-ed into at layer 3
-    residues = [frontier, K.bitset_alloc(graph.size), K.bitset_alloc(graph.size)]
-    probe = np.array([target_rank], dtype=np.int64)
-    for depth, (new, _) in enumerate(_layers(graph, visited, frontier, workers), 1):
-        np.bitwise_or(residues[depth % 3], new, out=residues[depth % 3])
-        if K.bitset_test(new, probe)[0]:
-            break
+def _walk(graph: PancakeGraph, target: Perm | SignedPerm) -> tuple[int, ...]:
+    """The flip sequence of :func:`sort_sequence`; :func:`distance` is its length.
+
+    Iterative-deepening A* with the gap heuristic. The stack gets a bottom
+    sentinel n + 1, and position j holds a gap when entries j and j + 1 are
+    not adjacent: ``|w[j+1] - w[j]| != 1`` for plain stacks, and for burnt
+    ones ``w[j+1] - w[j] != 1``, which tells (k, k+1) and (-(k+1), -k) from
+    wrongly oriented pairs. Flip ``r_i`` changes only the pair at positions
+    i - 1 and i, so it changes the gap count by at most one, which makes the
+    count a lower bound on the distance (for BP_n too: Cohen & Blum 1995) and
+    each child's count an O(1) update. The count is 0 only at the identity.
+    """
+    graph.check_vertex(target)
+    n = graph.n
+    stack = [*target.entries, n + 1]
+    # ``flipped`` holds the entries as a flip moves them (negated in BP_n) and
+    # is kept in step with ``stack``, so that a flip is two slice copies
+    if graph.kind is GraphKind.BURNT:
+        flipped, near = [-v for v in stack], (1,)
     else:
-        raise AssertionError("target not reached; graph should be connected")
-    sequence = []
-    current = target
-    for depth in range(depth, 0, -1):
-        for i in graph.flip_indices:
-            step = graph.apply(current, i)
-            probe[0] = graph.rank(step)
-            if K.bitset_test(residues[(depth - 1) % 3], probe)[0]:
-                sequence.append(i)
-                current = step
-                break
-        else:
-            raise AssertionError("no descending neighbor; layer residues inconsistent")
-    return tuple(sequence)
+        flipped, near = stack[:], (1, -1)
+    flips = graph.flip_indices
+    path: list[int] = []
+
+    def descend(g: int, gaps: int, previous: int) -> bool:
+        if not gaps:
+            return True
+        top = flipped[0]  # the entry r_i brings down to position i - 1
+        g += 1
+        for i in flips:
+            if i == previous:
+                continue  # flips are involutions; this undoes the last step
+            below = stack[i]
+            child = gaps - (below - stack[i - 1] not in near) + (below - top not in near)
+            if g + child > bound:
+                continue
+            stack[:i], flipped[:i] = flipped[i - 1 :: -1], stack[i - 1 :: -1]
+            path.append(i)
+            if descend(g, child, i):
+                return True
+            path.pop()
+            stack[:i], flipped[:i] = flipped[i - 1 :: -1], stack[i - 1 :: -1]
+        return False
+
+    # a shorter path would have been found under a smaller bound, so the
+    # first path found has the target's distance, and ascending flips make it
+    # the lexicographically smallest of that length
+    gaps = bound = sum(stack[j + 1] - stack[j] not in near for j in range(n))
+    while not descend(0, gaps, 0):
+        bound += 1
+    return tuple(path)
 
 
 def distance(
@@ -363,8 +390,12 @@ def distance(
     memory_limit: int | None = None,
     workers: int = 1,
 ) -> int:
-    """Minimum number of flips taking ``target`` to the identity (early exit)."""
-    return len(_walk(graph, target, memory_limit, workers, f"distance query in {graph}"))
+    """Minimum number of flips taking ``target`` to the identity.
+
+    The query holds no bitsets: ``memory_limit`` and ``workers`` are accepted
+    for symmetry with :func:`layer_profile` and have no effect.
+    """
+    return len(_walk(graph, target))
 
 
 def sort_sequence(
@@ -376,10 +407,10 @@ def sort_sequence(
 ) -> tuple[int, ...]:
     """Lexicographically smallest optimal flip sequence sorting ``target``.
 
-    Runs the layered BFS up to the target's layer, OR-ing layer k into
-    residue bitset k mod 3, then descends from ``target`` greedily taking the
-    smallest flip index whose result lies in the residue of the layer below.
-    A layer-d vertex has neighbours only in layers d - 1, d and d + 1, whose
-    residues differ, so that test picks exactly the layer-(d - 1) neighbours.
+    A depth-first search tries flips in ascending order under a bound that
+    starts at the target's gap count and grows by one after each failed
+    pass, so the first sequence found is optimal and lexicographically
+    smallest. Memory is linear in n; ``memory_limit`` and ``workers`` are
+    accepted for symmetry with :func:`layer_profile` and have no effect.
     """
-    return _walk(graph, target, memory_limit, workers, f"sort sequence in {graph}")
+    return _walk(graph, target)

@@ -3,9 +3,10 @@
 Everything here is deliberately written with a different algorithm than the
 package under test: function-composition flips, sort-and-index ranks,
 hash-set BFS over tuples, and label-product cycle enumeration. Slow but
-obviously correct at the small sizes the tests use. The one exception is
-``dfs_cycles_reference``, the package's own earlier cycle enumeration, kept
-to check that its replacement returns exactly the same list.
+obviously correct at the small sizes the tests use. The two exceptions are
+the package's own earlier algorithms, kept to check that their replacements
+return exactly the same results: ``dfs_cycles_reference``, the depth-L cycle
+enumeration, and ``bfs_walk_reference``, the bitset-BFS distance query.
 """
 
 from __future__ import annotations
@@ -13,9 +14,13 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
+import numpy as np
+
+from pancakes import _kernels as K
 from pancakes.cycles import Cycle, _flip_burnt, _flip_plain, canonicalize
 from pancakes.graphs import GraphKind, PancakeGraph
 from pancakes.perms import Perm, SignedPerm, rank, srank
+from pancakes.search import _layers, _start
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +236,52 @@ def dfs_cycles_reference(graph: PancakeGraph, length: int) -> list[Cycle]:
     if length >= 3 and graph.degree >= 2:
         dfs(identity)
     return sorted(found.values(), key=lambda c: (c.labels, c.ranks))
+
+
+# ---------------------------------------------------------------------------
+# distance queries by the layered bitset BFS
+
+def bfs_walk_reference(graph: PancakeGraph, target: Perm | SignedPerm) -> tuple[int, ...]:
+    """Lexicographically smallest optimal flip sequence by the layered BFS.
+
+    The walk ``distance`` and ``sort_sequence`` ran before they searched by
+    IDA*, kept verbatim except that it runs with one worker under the
+    default memory limit, whose check no longer counts the three residue
+    bitsets. It runs the BFS up to the target's layer, OR-ing
+    layer k into residue bitset k mod 3, then descends from ``target``
+    greedily taking the smallest flip index whose result lies in the residue
+    of the layer below. A layer-d vertex has neighbours only in layers d - 1,
+    d and d + 1, whose residues differ, so that test picks exactly the
+    layer-(d - 1) neighbours.
+    """
+    target_rank = graph.rank(target)
+    if target_rank == 0:
+        return ()
+    workers = 1
+    visited, frontier = _start(graph, None, workers, "reference walk")
+    # layer 0 is the start frontier itself: the generator reads it only to
+    # expand layer 1, and residue 0 is first OR-ed into at layer 3
+    residues = [frontier, K.bitset_alloc(graph.size), K.bitset_alloc(graph.size)]
+    probe = np.array([target_rank], dtype=np.int64)
+    for depth, (new, _) in enumerate(_layers(graph, visited, frontier, workers), 1):
+        np.bitwise_or(residues[depth % 3], new, out=residues[depth % 3])
+        if K.bitset_test(new, probe)[0]:
+            break
+    else:
+        raise AssertionError("target not reached; graph should be connected")
+    sequence = []
+    current = target
+    for depth in range(depth, 0, -1):
+        for i in graph.flip_indices:
+            step = graph.apply(current, i)
+            probe[0] = graph.rank(step)
+            if K.bitset_test(residues[(depth - 1) % 3], probe)[0]:
+                sequence.append(i)
+                current = step
+                break
+        else:
+            raise AssertionError("no descending neighbor; layer residues inconsistent")
+    return tuple(sequence)
 
 
 # ---------------------------------------------------------------------------

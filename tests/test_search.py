@@ -1,11 +1,19 @@
-"""Layered BFS: profiles, checkpoint/resume, distance, and sort sequences."""
+"""Layered BFS profiles, checkpoint/resume, and the distance and sort queries."""
 
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import naive_distance_map, naive_layer_counts
+from oracles import (
+    bfs_walk_reference,
+    flip_by_composition,
+    naive_distance_map,
+    naive_layer_counts,
+    signed_flip_reference,
+)
 from pancakes import search
 from pancakes._kernels import bitset_extract_ranks
 from pancakes.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
@@ -51,6 +59,25 @@ def apply_sequence(g, v, seq):
     for i in seq:
         v = g.apply(v, i)
     return v
+
+
+def vertex(kind, entries):
+    return SignedPerm(entries) if kind is BURNT else Perm(entries)
+
+
+def greedy_descent(kind, entries, dist_map):
+    """From ``entries`` to the identity, each step the smallest flip that
+    lowers the distance by one."""
+    burnt = kind is BURNT
+    sequence = []
+    while dist_map[entries]:
+        for i in range(1 if burnt else 2, len(entries) + 1):
+            step = signed_flip_reference(entries, i) if burnt else flip_by_composition(entries, i)
+            if dist_map[step] == dist_map[entries] - 1:
+                sequence.append(i)
+                entries = step
+                break
+    return tuple(sequence)
 
 
 def all_optimal_sequences(g, v, dist_map):
@@ -135,12 +162,14 @@ class TestMemoryAccounting:
         assert info.value.limit == 10_000
         assert "bytes" in str(info.value)
 
-    def test_distance_and_sort_also_refuse(self):
+    def test_distance_and_sort_answer_without_bitsets(self):
+        g = graph(PLAIN, 11)
         target = Perm((2, 1) + tuple(range(3, 12)))
-        with pytest.raises(MemoryLimitError):
-            distance(graph(PLAIN, 11), target, memory_limit=10_000)
-        with pytest.raises(MemoryLimitError):
-            sort_sequence(graph(PLAIN, 11), target, memory_limit=10_000)
+        assert distance(g, target, memory_limit=10_000) == 1
+        assert sort_sequence(g, target, memory_limit=10_000) == (2,)
+        # one P_11 bitset is 4,989,600 bytes
+        for query in (distance, sort_sequence):
+            assert traced_peak(query, g, target, memory_limit=10_000) < 64 << 10
 
     def test_estimate_grows_with_workers_and_layer_map(self):
         g = graph(BURNT, 6)
@@ -415,7 +444,8 @@ class TestSortSequence:
         assert sort_sequence(graph(BURNT, 2), SignedPerm((2, 1))) == (1, 2, 1)
 
     def test_sequence_sorts_and_is_lex_smallest_optimum(self):
-        # BP_4 has diameter 8, so the descent wraps the layer residues twice
+        # BP_4 has diameter 8, and some of its stacks lie four flips above
+        # their gap count, so IDA* needs five passes
         for kind, n in [(PLAIN, 4), (PLAIN, 5), (BURNT, 2), (BURNT, 3), (BURNT, 4)]:
             g = graph(kind, n)
             dist_map = naive_distance_map(n, kind is BURNT)
@@ -432,3 +462,56 @@ class TestSortSequence:
         seq = sort_sequence(g, v)
         assert len(seq) == distance(g, v)
         assert apply_sequence(g, v, seq) == g.identity
+
+
+class TestGapSearch:
+    """The IDA* queries against the naive BFS, the bitset-BFS walk they
+    replaced, and, where neither reaches, the properties of an answer."""
+
+    @pytest.mark.parametrize(
+        "kind, n, stride",
+        [(PLAIN, n, 1) for n in range(1, 9)]
+        + [(BURNT, n, 1) for n in range(1, 6)]
+        + [(BURNT, 6, 7)],
+    )
+    def test_match_naive_bfs(self, kind, n, stride):
+        g = graph(kind, n)
+        dist_map = naive_distance_map(n, kind is BURNT)
+        for entries, expected in sorted(dist_map.items())[::stride]:
+            v = vertex(kind, entries)
+            assert distance(g, v) == expected, entries
+            assert sort_sequence(g, v) == greedy_descent(kind, entries, dist_map), entries
+
+    @pytest.mark.parametrize("kind, n", [(PLAIN, 9), (BURNT, 7)])
+    def test_match_bfs_walk_on_samples(self, kind, n):
+        g = graph(kind, n)
+        for r in random.Random(n).sample(range(g.size), 6):
+            v = g.unrank(r)
+            assert sort_sequence(g, v) == bfs_walk_reference(g, v), v
+
+    def test_burnt_reversed_identity_needs_the_diameter(self):
+        g = graph(BURNT, 7)
+        v = SignedPerm(tuple(range(-1, -8, -1)))
+        seq = sort_sequence(g, v)
+        assert len(seq) == 14
+        assert seq == bfs_walk_reference(g, v)
+
+    # uniform random stacks: structured ones such as -I_10 take minutes
+    @pytest.mark.parametrize("kind, n", [(PLAIN, 20), (BURNT, 10)])
+    @settings(deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_random_large_stacks(self, kind, n, seed):
+        rng = random.Random(seed)
+        entries = rng.sample(range(1, n + 1), n)
+        if kind is BURNT:
+            entries = [rng.choice((-1, 1)) * e for e in entries]
+        g = graph(kind, n)
+        v = vertex(kind, tuple(entries))
+        seq = sort_sequence(g, v)
+        assert apply_sequence(g, v, seq) == g.identity
+        assert len(seq) == distance(g, v)
+        stack = [*entries, n + 1]
+        gaps = sum(
+            b - a != 1 and (kind is BURNT or a - b != 1) for a, b in zip(stack, stack[1:])
+        )
+        assert len(seq) >= gaps
