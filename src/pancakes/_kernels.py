@@ -9,21 +9,34 @@ position in the low n bits).
 Batches are stored column-major: the unrank and flip kernels return (m, n)
 views of C-ordered (n, m) arrays, so each position's m entries are
 contiguous and every per-position step is one vector operation on a
-contiguous row. Unrank splits ranks into Lehmer digits with ``np.divmod``
-and turns the digits into entries with one right-to-left bump pass; rank
-counts smaller entries per position in uint8 and folds the digits into the
-int64 rank by Horner's rule. The kernels accept batches in either memory
-order.
+contiguous row. The kernels accept batches in either memory order.
+
+Each per-position step runs in the narrowest dtype that holds its values,
+and ranks are widened to int64 once, where a kernel returns. Lehmer ranks
+below n! are accumulated in int32 while n! < 2**31 (n <= 12) and in int64
+above that: unrank takes each digit with one floor division and one
+multiply-subtract, rank folds the digits in by Horner's rule. Digits,
+entries and comparison results are uint8 or bool, written into buffers
+allocated once per call. The n sign bits of a signed rank travel in a
+uint8 word (n <= 8) or a uint16 word (n <= 16) and meet the int64 rank in
+one shift and one OR.
 
 Bitsets are flat uint64 arrays with bit ``b`` of word ``w`` addressing rank
-``64*w + b``.
+``64*w + b``. :func:`bitset_test` and :func:`bitset_extract_ranks` read
+them through a uint8 view, where rank ``r`` is bit ``r & 7`` of byte
+``r >> 3``; that holds on a little-endian host only, the same ``<u8``
+layout a checkpoint file stores, so importing this module elsewhere fails.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
+
+if sys.byteorder != "little":
+    raise ImportError("pancakes bitsets need a little-endian host")
 
 __all__ = [
     "factorials",
@@ -45,24 +58,42 @@ def factorials(n: int) -> list[int]:
     return [math.factorial(k) for k in range(n + 1)]
 
 
+def _lehmer_dtype(n: int) -> type[np.signedinteger]:
+    """Narrowest signed dtype that holds every Lehmer rank below n!."""
+    return np.int32 if math.factorial(n) < 2**31 else np.int64
+
+
+def _sign_dtype(n: int) -> type[np.unsignedinteger]:
+    """Unsigned dtype whose low n bits hold the sign bits of a signed rank."""
+    return np.uint8 if n <= 8 else np.uint16
+
+
 # ---------------------------------------------------------------------------
 # unsigned permutations
 
 def batch_unrank(n: int, ranks: np.ndarray) -> np.ndarray:
     """Decode lexicographic ranks into one-line notation, shape (m, n) uint8."""
-    cols = np.zeros((n, ranks.shape[0]), dtype=np.uint8)
-    rest = ranks
+    m = ranks.shape[0]
+    cols = np.zeros((n, m), dtype=np.uint8)
+    rest = ranks.astype(_lehmer_dtype(n))  # a copy: the caller's ranks stay
+    digit = np.empty_like(rest)
     fact = factorials(n)
-    for pos in range(n - 1):
-        digit, rest = np.divmod(rest, fact[n - 1 - pos])
+    for pos in range(n - 2):
+        np.floor_divide(rest, fact[n - 1 - pos], out=digit)
         cols[pos] = digit
+        digit *= fact[n - 1 - pos]
+        rest -= digit
+    if n > 1:
+        cols[n - 2] = rest  # the digit of 1!; the last digit is always 0
     # digits to 0-based entries, right to left: cols[j + 1:] already hold a
     # permutation of 0..n-2-j, and giving position j the value digit[j] bumps
     # every entry to its right that is >= digit[j] up by one
+    bump = np.empty(m, dtype=np.bool_)
     for j in range(n - 2, -1, -1):
         left = cols[j]
         for k in range(j + 1, n):
-            cols[k] += cols[k] >= left
+            np.greater_equal(cols[k], left, out=bump)
+            cols[k] += bump
     cols += 1
     return cols.T
 
@@ -71,17 +102,19 @@ def batch_rank(perms: np.ndarray) -> np.ndarray:
     """Lexicographic ranks of one-line uint8 rows, shape (m,) int64."""
     cols = perms.T
     n, m = cols.shape
-    ranks = np.zeros(m, dtype=np.int64)
+    ranks = np.zeros(m, dtype=_lehmer_dtype(n))
     smaller = np.empty(m, dtype=np.uint8)
+    less = np.empty(m, dtype=np.bool_)
     for pos in range(n - 1):
         v = cols[pos]
-        smaller[:] = 0
-        for k in range(pos + 1, n):
-            smaller += cols[k] < v
+        np.less(cols[pos + 1], v, out=smaller)
+        for k in range(pos + 2, n):
+            np.less(cols[k], v, out=less)
+            smaller += less
         # Horner form of sum(digit[pos] * (n - 1 - pos)!)
         ranks *= n - pos
         ranks += smaller
-    return ranks
+    return ranks.astype(np.int64, copy=False)
 
 
 def batch_flip(perms: np.ndarray, i: int) -> np.ndarray:
@@ -97,21 +130,33 @@ def batch_flip(perms: np.ndarray, i: int) -> np.ndarray:
 
 def batch_sunrank(n: int, ranks: np.ndarray) -> np.ndarray:
     """Decode signed ranks into window notation, shape (m, n) int8."""
-    out = batch_unrank(n, ranks >> np.int64(n)).view(np.int8)
-    cols = out.T
-    for idx in range(n):
-        np.negative(cols[idx], where=(ranks >> np.int64(idx)) & 1 == 1, out=cols[idx])
+    out = batch_unrank(n, ranks >> n).view(np.int8)
+    signs = ranks.astype(_sign_dtype(n))  # keeps the low bits
+    s = np.empty(ranks.shape[0], dtype=np.int8)
+    mask = np.empty_like(s)
+    for x in out.T:
+        # s = 1 negates x: (x ^ -1) + 1 == -x; s = 0 leaves it as it is
+        np.bitwise_and(signs, 1, out=s, casting="unsafe")
+        signs >>= 1
+        np.negative(s, out=mask)
+        x ^= mask
+        x += s
     return out
 
 
 def batch_srank(perms: np.ndarray) -> np.ndarray:
     """Signed ranks of int8 window rows, shape (m,) int64."""
-    n = perms.shape[1]
+    m, n = perms.shape
     ranks = batch_rank(np.abs(perms).view(np.uint8))
-    cols = perms.T
+    signs = np.zeros(m, dtype=_sign_dtype(n))
+    bit = np.empty(m, dtype=np.uint8)
+    cols = perms.view(np.uint8).T
     for idx in range(n - 1, -1, -1):
-        ranks <<= np.int64(1)
-        ranks |= cols[idx] < 0
+        np.right_shift(cols[idx], 7, out=bit)  # 1 exactly for a negative entry
+        signs <<= 1
+        signs |= bit
+    ranks <<= n
+    ranks |= signs
     return ranks
 
 
@@ -138,8 +183,12 @@ def bitset_set(words: np.ndarray, ranks: np.ndarray) -> None:
 
 def bitset_test(words: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """Boolean array: is each rank's bit set?"""
-    shift = (ranks & 63).astype(np.uint64)
-    return (words[ranks >> 6] >> shift).astype(np.int64) & 1 == 1
+    bits = words.view(np.uint8)[ranks >> 3]
+    shift = ranks.astype(np.uint8)  # keeps the low bits
+    shift &= 7
+    bits >>= shift
+    bits &= 1
+    return bits.view(np.bool_)
 
 
 def bitset_extract_ranks(words: np.ndarray, word_offset: int = 0) -> np.ndarray:

@@ -547,7 +547,7 @@ def check_gregory_newton_con63(
 ) -> IdentityReport:
     """Check the base-case expansion of a signed layer count.
 
-    The k-th signed layer count is conjectured to be a degree-2k
+    The k-th signed layer count is conjectured to be a degree-k
     integer-valued polynomial vanishing at n = 0, which pins it down from
     its first k values:
 

@@ -130,11 +130,13 @@ def required_memory(
     # (no caller keeps the start frontier alive past layer 1), and with the
     # layer map its three residue bitsets
     bitsets = (2 + workers + 3 * with_layer_map) * 8 * nwords
-    # per-worker batch buffers: up to three (chunk, n) byte arrays (the
-    # unranked batch, one flipped copy and, in BP_n, its absolute values) plus
-    # up to six int64 temporaries (unrank's divmod, neighbour ranks, bitset
-    # test/set shifts and word indices)
-    buffers = workers * chunk * (3 * graph.n + 48)
+    # per-worker batch buffers, per rank of a chunk, at the widest of three
+    # moments: ranking a flip holds three n-byte rows (the batch, a flipped
+    # copy and, in BP_n, its absolute values) plus 14 bytes (an int32 sum as
+    # it is widened to int64, two byte buffers); setting fresh bits holds one
+    # row plus three int64 arrays; unranking the next chunk holds two rows
+    # plus at most 25 bytes (int64 shifted ranks, rest and digit, one byte)
+    buffers = workers * chunk * (3 * graph.n + 24)
     # per-worker extraction of one frontier block: unpackbits' byte per bit
     # plus flatnonzero's int64 per set bit
     extraction = workers * 9 * 64 * min(_BLOCK_WORDS, nwords)
@@ -199,8 +201,13 @@ def _expand_span(
             for i in graph.flip_indices:
                 neighbor_ranks = rank(flip(perms, i))
                 fresh = neighbor_ranks[~K.bitset_test(visited, neighbor_ranks)]
+                # drop this flip's ranks once they are used, so that they are
+                # not alive while the next flip is ranked (required_memory
+                # counts on it)
+                del neighbor_ranks
                 if fresh.size:
                     K.bitset_set(cand, fresh)
+                del fresh
     return cand
 
 
@@ -257,6 +264,9 @@ def _run_layers(
             counts.append(found)
         # after the empty layer this is the terminal checkpoint
         _save(checkpoint_path, graph, counts, visited, new)
+        # the generator alone holds the frontier, so that it is freed as soon
+        # as the next layer replaces it, before that layer's popcount
+        del new
     complete = sum(counts) == graph.size
     return LayerProfile(graph.kind, graph.n, tuple(counts), complete=complete)
 

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from pancakes import _kernels as K
 from pancakes.perms import (
@@ -16,6 +17,24 @@ from pancakes.perms import (
     sunrank,
     unrank,
 )
+
+# ranks at each end of a graph's range: the int32/int64 accumulator and the
+# uint8/uint16 sign word must agree with the scalar code on both sides
+EDGE = 1 << 12
+
+
+def edge_ranks(size):
+    """The lowest and the highest EDGE ranks below ``size``, as int64."""
+    return np.concatenate([np.arange(EDGE), np.arange(size - EDGE, size)]).astype(np.int64)
+
+
+def assert_ranks_back(rank_kernel, rows, dtype, ranks):
+    """``rank_kernel`` returns ``ranks`` as int64 for rows in either memory order."""
+    rows = np.array(rows, dtype=dtype)
+    for batch in (np.ascontiguousarray(rows), np.asfortranarray(rows)):
+        back = rank_kernel(batch)
+        assert back.dtype == np.int64
+        assert np.array_equal(back, ranks)
 
 
 class TestUnsignedKernels:
@@ -42,6 +61,18 @@ class TestUnsignedKernels:
             for row, r in zip(perms, ranks):
                 assert tuple(int(x) for x in row) == unrank(n, int(r)).entries
             assert np.array_equal(K.batch_rank(perms), ranks)
+
+    @pytest.mark.parametrize("n", [12, 13, 20])
+    def test_roundtrip_at_accumulator_edge(self, n):
+        # 12! < 2**31 <= 13!: n = 12 is the last int32 accumulator, and 20 is
+        # the last n whose ranks fit in int64
+        ranks = edge_ranks(math.factorial(n))
+        before = ranks.copy()
+        perms = K.batch_unrank(n, ranks)
+        assert np.array_equal(ranks, before)
+        expected = [unrank(n, int(r)).entries for r in ranks]
+        assert [tuple(row) for row in perms.tolist()] == expected
+        assert_ranks_back(K.batch_rank, expected, np.uint8, ranks)
 
     def test_flip_matches_scalar(self):
         rng = np.random.default_rng(11)
@@ -96,6 +127,19 @@ class TestSignedKernels:
                 assert tuple(int(x) for x in row) == sunrank(n, int(r)).entries
             assert np.array_equal(K.batch_srank(perms), ranks)
 
+    @pytest.mark.parametrize("n", [8, 9, 12, 13, 16])
+    def test_roundtrip_at_sign_word_and_accumulator_edge(self, n):
+        # n = 8 is the last uint8 sign word and 9 the first uint16 one; the
+        # unsigned part switches from int32 to int64 after 12; 16 is the last
+        # n whose signed ranks fit in int64
+        ranks = edge_ranks(math.factorial(n) << n)
+        before = ranks.copy()
+        perms = K.batch_sunrank(n, ranks)
+        assert np.array_equal(ranks, before)
+        expected = [sunrank(n, int(r)).entries for r in ranks]
+        assert [tuple(row) for row in perms.tolist()] == expected
+        assert_ranks_back(K.batch_srank, expected, np.int8, ranks)
+
     def test_signed_flip_matches_scalar(self):
         rng = np.random.default_rng(17)
         n = 5
@@ -144,6 +188,18 @@ class TestBitsets:
         assert K.bitset_test(words, ranks).all()
         assert not K.bitset_test(words, np.array([2, 62, 66, 998], dtype=np.int64)).any()
         assert np.array_equal(K.bitset_extract_ranks(words), ranks)
+
+    def test_test_matches_word_formula(self):
+        # the kernel reads bytes of a uint8 view; every bit position of the
+        # first, a middle and the last word must agree with the uint64 words
+        rng = np.random.default_rng(37)
+        words = rng.integers(0, 2**64, size=101, dtype=np.uint64)
+        ranks = np.array([64 * w + b for w in (0, 50, 100) for b in range(64)])
+        expected = (words[ranks >> 6] >> (ranks & 63).astype(np.uint64)) & np.uint64(1) == 1
+        got = K.bitset_test(words, ranks)
+        assert got.dtype == np.bool_
+        assert np.array_equal(got, expected)
+        assert 0 < expected.sum() < expected.size
 
     def test_duplicate_sets_idempotent(self):
         words = K.bitset_alloc(128)

@@ -230,7 +230,9 @@ class TestMemoryAccounting:
         self, kind, n, workers, monkeypatch, tmp_path
     ):
         # at the real sizes the chunk and block buffers are tens of MB and
-        # would hide a bitset the estimate missed
+        # would hide a bitset the estimate missed, or one it charges for
+        # nothing; here one bitset is over a fifth of the peak, so the bound
+        # from above catches a phantom one
         monkeypatch.setattr(search, "_CHUNK", 1 << 10)
         monkeypatch.setattr(search, "_BLOCK_WORDS", 1 << 4)
         g = graph(kind, n)
@@ -239,10 +241,11 @@ class TestMemoryAccounting:
         peak = traced_peak(
             layer_profile, g, workers=workers, checkpoint_path=path, max_layer=3
         )
-        assert peak <= estimate
+        assert peak <= estimate <= 1.25 * peak
         target = g.unrank(int(bitset_extract_ranks(read_checkpoint(path).frontier)[0]))
         layer_profile(g, checkpoint_path=path, max_layer=1)
-        assert traced_peak(resume, path, workers=workers, max_layer=3) <= estimate
+        peak = traced_peak(resume, path, workers=workers, max_layer=3)
+        assert peak <= estimate <= 1.25 * peak
         peak = traced_peak(sort_sequence, g, target, workers=workers)
         assert peak <= required_memory(g, workers=workers, with_layer_map=True)
 
