@@ -21,11 +21,16 @@ allocated once per call. The n sign bits of a signed rank travel in a
 uint8 word (n <= 8) or a uint16 word (n <= 16) and meet the int64 rank in
 one shift and one OR.
 
+Ranks must fit in int64: n! < 2**63 holds for plain n <= 20, and
+n! * 2**n < 2**63 for signed n <= 16. Beyond that the kernels raise
+ValueError instead of wrapping around.
+
 Bitsets are flat uint64 arrays with bit ``b`` of word ``w`` addressing rank
-``64*w + b``. :func:`bitset_test` and :func:`bitset_extract_ranks` read
-them through a uint8 view, where rank ``r`` is bit ``r & 7`` of byte
-``r >> 3``; that holds on a little-endian host only, the same ``<u8``
-layout a checkpoint file stores, so importing this module elsewhere fails.
+``64*w + b``. :func:`bitset_set`, :func:`bitset_test` and
+:func:`bitset_extract_ranks` work on them through a uint8 view, where rank
+``r`` is bit ``r & 7`` of byte ``r >> 3``; that holds on a little-endian
+host only, the same ``<u8`` layout a checkpoint file stores, so importing
+this module elsewhere fails.
 """
 
 from __future__ import annotations
@@ -60,11 +65,17 @@ def factorials(n: int) -> list[int]:
 
 def _lehmer_dtype(n: int) -> type[np.signedinteger]:
     """Narrowest signed dtype that holds every Lehmer rank below n!."""
-    return np.int32 if math.factorial(n) < 2**31 else np.int64
+    size = math.factorial(n)
+    if size >= 2**63:
+        raise ValueError(f"ranks of {n}-entry permutations do not fit in int64 (n <= 20)")
+    return np.int32 if size < 2**31 else np.int64
 
 
 def _sign_dtype(n: int) -> type[np.unsignedinteger]:
     """Unsigned dtype whose low n bits hold the sign bits of a signed rank."""
+    if n > 16:
+        # a uint16 word would drop sign bits, and 17! << 17 overflows int64
+        raise ValueError(f"signed ranks of {n} entries do not fit in int64 (n <= 16)")
     return np.uint8 if n <= 8 else np.uint16
 
 
@@ -177,8 +188,10 @@ def bitset_alloc(size_bits: int) -> np.ndarray:
 
 def bitset_set(words: np.ndarray, ranks: np.ndarray) -> None:
     """Set the given bits (idempotent; duplicate ranks allowed)."""
-    bit = np.left_shift(np.uint64(1), (ranks & 63).astype(np.uint64))
-    np.bitwise_or.at(words, ranks >> 6, bit)
+    bits = ranks.astype(np.uint8)  # keeps the low bits
+    bits &= 7
+    np.left_shift(1, bits, out=bits)
+    np.bitwise_or.at(words.view(np.uint8), ranks >> 3, bits)
 
 
 def bitset_test(words: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -192,9 +205,23 @@ def bitset_test(words: np.ndarray, ranks: np.ndarray) -> np.ndarray:
 
 
 def bitset_extract_ranks(words: np.ndarray, word_offset: int = 0) -> np.ndarray:
-    """Ranks of all set bits, ascending, as int64."""
+    """Ranks of all set bits, ascending, as int64.
+
+    When fewer than half of the words are nonzero, only those words are
+    unpacked, and each bit is moved from its place among them to its word.
+    """
+    sparse = 2 * np.count_nonzero(words) < words.size
+    if sparse:
+        index = np.flatnonzero(words)
+        words = words[index]
     bits = np.unpackbits(words.view(np.uint8), bitorder="little")
     ranks = np.flatnonzero(bits).astype(np.int64, copy=False)
+    del bits
+    if sparse:
+        # the j-th nonzero word is word index[j]: 64 * (index[j] - j) further on
+        index -= np.arange(index.size)
+        index <<= 6
+        ranks += np.repeat(index, np.bitwise_count(words))
     if word_offset:
         ranks += word_offset * 64
     return ranks

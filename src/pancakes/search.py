@@ -1,25 +1,42 @@
-"""Bitset breadth-first search over pancake graphs, and single-stack queries.
+"""Breadth-first layer profiles of pancake graphs, and single-stack queries.
 
-The visited set and the current frontier are flat bit arrays indexed by
-permutation rank — the only representation that scales to the interesting
-sizes (BP_8 has ~10.3M vertices but its bitset is 1.3 MB). Each layer is
-expanded by scanning the frontier's set bits in blocks, unranking them,
-applying every flip with the vectorized kernels, ranking the neighbors, and
-setting the bits of previously unseen vertices; the popcount of the merged
-result is the next layer count. One generator runs this loop; profiles and
-resumed profiles consume its layers.
+Two engines count the layers, with identical results.
+
+The bitset engine searches the whole graph. The visited set and the current
+frontier are flat bit arrays indexed by permutation rank (BP_8 has ~10.3M
+vertices but its bitset is 1.3 MB). Each layer is expanded by scanning the
+frontier's set bits in blocks, unranking them, applying every flip with the
+vectorized kernels, ranking the neighbors, and setting the bits of
+previously unseen vertices; the popcount of the merged result is the next
+layer count. One generator runs this loop; profiles, checkpointed profiles
+and resumed profiles consume its layers.
+
+The ball engine counts only the first K layers, in memory that grows with
+those layers instead of with the graph (frontier search: Korf, Zhang,
+Thayer & Hohwald, JACM 2005). It holds the last two layers as sorted int64
+rank arrays. The graphs are undirected, so the next layer is every
+neighbor of the current one that lies in neither of them; the same batch
+kernels produce the neighbors, and sorting removes duplicates.
+:func:`layer_profile` runs it for a ``max_layer`` search without a
+checkpoint when its estimate, from |L_{k+1}| <= (degree - 1) |L_k|, is
+below the bitset engine's :func:`required_memory`. So ``table --k`` and the
+formula checks reach the first layers of graphs whose bitsets would not
+fit, up to the int64 rank limits: plain n <= 20 and burnt n <= 16.
 
 Distances and sort sequences of one stack do not search the whole graph:
 an iterative-deepening A* with the gap heuristic walks from the stack to the
 identity in memory linear in n, so it answers at sizes whose bitsets would
 not fit (Helmert, "Landmark heuristics for the pancake problem", 2010).
 
-Workers partition the frontier into contiguous word spans. Each worker fills
-a private candidate bitset and the results are OR-merged single-threaded
-between layers, so profiles are bit-identical for every worker count.
+In the bitset engine, workers partition the frontier into contiguous word
+spans. Each worker fills a private candidate bitset and the results are
+OR-merged single-threaded between layers, so profiles are bit-identical for
+every worker count. The ball engine runs on one thread.
 
 Memory is accounted for up front: a layer search that would exceed the
-limit refuses with the required size instead of thrashing. The default
+limit refuses with the required size instead of thrashing. The bitset
+engine checks once, before it allocates; the ball engine checks before it
+expands each layer, with that layer's true size. The default
 limit is 4 GiB, overridable via the ``PANCAKE_MEM_LIMIT`` environment
 variable or the ``memory_limit`` argument.
 """
@@ -116,7 +133,7 @@ def resolve_memory_limit(memory_limit: int | None) -> int:
 def required_memory(
     graph: PancakeGraph, *, workers: int = 1, with_layer_map: bool = False
 ) -> int:
-    """Upper estimate of the bytes a search on ``graph`` will allocate.
+    """Upper estimate of the bytes a bitset search on ``graph`` will allocate.
 
     ``with_layer_map`` adds three bitsets that keep every layer by its index
     mod 3, enough to find a vertex's layer. No search here keeps them (the
@@ -134,11 +151,13 @@ def required_memory(
     # moments: ranking a flip holds three n-byte rows (the batch, a flipped
     # copy and, in BP_n, its absolute values) plus 14 bytes (an int32 sum as
     # it is widened to int64, two byte buffers); setting fresh bits holds one
-    # row plus three int64 arrays; unranking the next chunk holds two rows
-    # plus at most 25 bytes (int64 shifted ranks, rest and digit, one byte)
+    # row plus 17 bytes (the int64 fresh ranks, their int64 byte index and a
+    # uint8 bit); unranking the next chunk holds two rows plus at most 25
+    # bytes (int64 shifted ranks, rest and digit, one byte)
     buffers = workers * chunk * (3 * graph.n + 24)
     # per-worker extraction of one frontier block: unpackbits' byte per bit
-    # plus flatnonzero's int64 per set bit
+    # plus flatnonzero's int64 per set bit (a block under half nonzero words
+    # unpacks only those, at most 1,049 bytes per nonzero word)
     extraction = workers * 9 * 64 * min(_BLOCK_WORDS, nwords)
     # bitset_popcount: np.bitwise_count's uint8 per frontier word, and the
     # buffer in which sum() casts them to uint64, np.getbufsize() at most
@@ -179,16 +198,20 @@ def _save(
         write_checkpoint(checkpoint_path, cp)
 
 
+def _batch_kernels(graph: PancakeGraph):
+    """The unrank, rank and flip kernels of ``graph``'s kind."""
+    # kernels are looked up when called, so that wrappers installed on the
+    # _kernels module see every call
+    if graph.kind is GraphKind.BURNT:
+        return K.batch_sunrank, K.batch_srank, K.batch_signed_flip
+    return K.batch_unrank, K.batch_rank, K.batch_flip
+
+
 def _expand_span(
     graph: PancakeGraph, visited: np.ndarray, frontier: np.ndarray, lo: int, hi: int
 ) -> np.ndarray:
     """Candidate bitset of unvisited neighbors of frontier bits in words [lo, hi)."""
-    # kernels are looked up when called, so that wrappers installed on the
-    # _kernels module see every call
-    if graph.kind is GraphKind.BURNT:
-        unrank, rank, flip = K.batch_sunrank, K.batch_srank, K.batch_signed_flip
-    else:
-        unrank, rank, flip = K.batch_unrank, K.batch_rank, K.batch_flip
+    unrank, rank, flip = _batch_kernels(graph)
     cand = np.zeros_like(visited)
     for block in range(lo, hi, _BLOCK_WORDS):
         top = min(block + _BLOCK_WORDS, hi)
@@ -271,6 +294,105 @@ def _run_layers(
     return LayerProfile(graph.kind, graph.n, tuple(counts), complete=complete)
 
 
+def _check_rank_width(graph: PancakeGraph) -> None:
+    """Refuse a graph whose ranks do not fit the kernels' int64."""
+    widest = 16 if graph.kind is GraphKind.BURNT else 20
+    if graph.n > widest:
+        raise ValueError(
+            f"the ranks of {graph} do not fit in int64; layer profiles of "
+            f"{graph.kind} graphs support n <= {widest}"
+        )
+
+
+def _ball_bytes(graph: PancakeGraph, held: int, expanding: int, fanout: int) -> int:
+    """Bytes the ball engine allocates while it expands one layer.
+
+    ``held`` ranks are in the two layers it keeps, the layer being expanded
+    has ``expanding`` of them, and each of its vertices has at most
+    ``fanout`` neighbors outside those two layers.
+    """
+    # 8 bytes per held rank; per candidate neighbor an int64 slot, then one
+    # byte of the duplicate mask and at most 8 bytes of the new layer; the
+    # per-rank batch buffers of one chunk are those of required_memory (the
+    # widest moment here, the second membership test, holds one row plus
+    # 26 bytes: the int64 ranks, one bool, and the int64 positions, looked-up
+    # ranks and bool result of the test)
+    chunk = min(_CHUNK, expanding)
+    return 8 * held + 17 * fanout * expanding + chunk * (3 * graph.n + 24)
+
+
+def _ball_estimate(graph: PancakeGraph, max_layer: int) -> int:
+    """Upper estimate of the ball engine's bytes for layers 0..max_layer.
+
+    Layer 1 has ``degree`` vertices, and each vertex of a later layer has a
+    neighbor in the layer before it, so |L_{k+1}| <= (degree - 1) |L_k|;
+    every bound is capped at the graph's size.
+    """
+    peak, previous, layer = 0, 0, 1
+    for k in range(max_layer):
+        fanout = graph.degree if k == 0 else graph.degree - 1
+        peak = max(peak, _ball_bytes(graph, previous + layer, layer, fanout))
+        if layer == graph.size:
+            break  # every later layer has the same bound
+        previous, layer = layer, min(fanout * layer, graph.size)
+    return peak
+
+
+def _in_layer(layer: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Boolean array: is each rank in the sorted, duplicate-free ``layer``?"""
+    if not layer.size:
+        return np.zeros(ranks.shape, dtype=np.bool_)
+    where = np.searchsorted(layer, ranks)
+    np.minimum(where, layer.size - 1, out=where)
+    return layer[where] == ranks
+
+
+def _ball_counts(graph: PancakeGraph, max_layer: int, limit: int | None) -> list[int]:
+    """Layer counts 0..max_layer from sorted rank arrays of the last two layers.
+
+    The graphs are undirected, so every neighbor of layer k lies in layer
+    k - 1, k or k + 1, and L_{k+1} = N(L_k) minus L_k and L_{k-1}.
+    """
+    limit = resolve_memory_limit(limit)
+    unrank, rank, flip = _batch_kernels(graph)
+    previous = np.zeros(0, dtype=np.int64)
+    layer = np.zeros(1, dtype=np.int64)  # the identity always ranks 0
+    counts = [1]
+    while layer.size and len(counts) <= max_layer:
+        fanout = graph.degree if len(counts) == 1 else graph.degree - 1
+        required = _ball_bytes(graph, previous.size + layer.size, layer.size, fanout)
+        if required > limit:
+            raise MemoryLimitError(
+                required, limit, f"expanding layer {len(counts) - 1} of {graph}"
+            )
+        found = np.empty(fanout * layer.size, dtype=np.int64)
+        end = 0
+        for start in range(0, layer.size, _CHUNK):
+            perms = unrank(graph.n, layer[start : start + _CHUNK])
+            for i in graph.flip_indices:
+                ranks = rank(flip(perms, i))
+                seen = _in_layer(layer, ranks)
+                seen |= _in_layer(previous, ranks)
+                fresh = ranks[~seen]
+                found[end : end + fresh.size] = fresh
+                end += fresh.size
+                # as in _expand_span, nothing of this flip stays alive while
+                # the next one is ranked (_ball_bytes counts on it)
+                del ranks, seen, fresh
+        # np.unique would do, but NumPy 2.4 runs it through a hash set, which
+        # took 2.0 s against this sort's 43 ms for 2M int64 ranks
+        found = found[:end]
+        found.sort()
+        keep = np.empty(end, dtype=np.bool_)
+        keep[:1] = True
+        np.not_equal(found[1:], found[:-1], out=keep[1:])
+        previous, layer = layer, found[keep]
+        del found, keep
+        if layer.size:
+            counts.append(int(layer.size))
+    return counts
+
+
 def layer_profile(
     graph: PancakeGraph,
     *,
@@ -284,7 +406,27 @@ def layer_profile(
     Writes a checkpoint after each completed layer when ``checkpoint_path`` is
     given (always starting fresh; use :func:`resume` to continue one).
     ``max_layer`` stops after that many layers, leaving a resumable checkpoint.
+
+    Two engines count the layers, with identical results. The bitset engine
+    holds whole-graph bitsets and splits each layer over ``workers`` threads.
+    The ball engine holds the last two layers as sorted rank arrays on one
+    thread, so its memory grows with the first layers, not with the graph.
+    It runs when ``max_layer`` is given, there is no ``checkpoint_path``,
+    and its estimate for the first ``max_layer`` layers is below
+    :func:`required_memory`; it then refuses before any layer whose
+    expansion would exceed the memory limit. Ranks are int64, so plain
+    graphs with n > 20 and burnt ones with n > 16 raise ValueError.
     """
+    _check_rank_width(graph)
+    if (
+        max_layer is not None
+        and checkpoint_path is None
+        and _ball_estimate(graph, max_layer) < required_memory(graph, workers=workers)
+    ):
+        counts = _ball_counts(graph, max_layer, memory_limit)
+        return LayerProfile(
+            graph.kind, graph.n, tuple(counts), complete=sum(counts) == graph.size
+        )
     visited, frontier = _start(
         graph, memory_limit, workers, f"layer profile of {graph}"
     )

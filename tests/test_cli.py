@@ -176,6 +176,12 @@ class TestTable:
         )
         assert code == EXIT_OK and out == "4,1,3,6,11,3\n"
 
+    @pytest.mark.parametrize("graph, n, k", [("plain", 21, 3), ("burnt", 17, 2)])
+    def test_ranks_beyond_int64_refused(self, capsys, graph, n, k):
+        # int64 ranks would wrap around and print wrong counts
+        code, out, err = run(capsys, "table", "--graph", graph, "--n", str(n), "--k", str(k))
+        assert code == EXIT_USAGE and out == "" and "int64" in err
+
     def test_workers_must_be_positive(self, capsys):
         code, _, err = run(
             capsys, "table", "--graph", "plain", "--n", "4", "--workers", "0"

@@ -296,6 +296,44 @@ class TestBaseCaseExpansion:
                 assert check_gregory_newton_con63(k, n, table).verdict is Verdict.HOLDS
 
 
+def search_cells(kind, top, max_layer):
+    """{(k, n): R_k(n)} for k <= max_layer and n <= top, from layer profiles;
+    a layer beyond a complete profile counts 0, as in the published tables."""
+    cells = {}
+    for n in range(1, top + 1):
+        p = layer_profile(PancakeGraph(kind, n), max_layer=max_layer)
+        assert len(p.counts) == max_layer + 1 or p.complete
+        for k in range(max_layer + 1):
+            cells[k, n] = p.counts[k] if k < len(p.counts) else 0
+    return cells
+
+
+class TestIdentitiesOnSearchOutput:
+    """The paper's numerical evidence, checked on this program's own counts
+    instead of the transcribed tables."""
+
+    def test_con63_holds_on_burnt_profiles(self):
+        cells = search_cells(BURNT, 12, 6)
+        for k in range(1, 7):
+            for n in range(k + 1, 13):
+                report = check_gregory_newton_con63(k, n, cells)
+                assert report.verdict is Verdict.HOLDS, (k, n, report)
+        for k in (5, 6):
+            spec = get_formula(f"r{k}-burnt")
+            for n in range(1, 13):
+                assert spec.value_at(n) == cells[k, n], (k, n)
+
+    def test_cor62_verdicts_match_published_plain_cells(self):
+        cells = search_cells(PLAIN, 14, 5)
+        published = published_cells(PLAIN)
+        for k in range(6):
+            for n in range(1, 15):
+                ours = check_recurrence_cor62(k, n, cells)
+                theirs = check_recurrence_cor62(k, n, published)
+                assert ours.verdict is theirs.verdict, (k, n, ours, theirs)
+                assert (ours.lhs, ours.rhs) == (theirs.lhs, theirs.rhs)
+
+
 class TestFitNewton:
     def test_constant_sequence(self):
         fit = fit_newton([(n, 5) for n in range(3, 7)])

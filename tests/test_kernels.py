@@ -74,6 +74,13 @@ class TestUnsignedKernels:
         assert [tuple(row) for row in perms.tolist()] == expected
         assert_ranks_back(K.batch_rank, expected, np.uint8, ranks)
 
+    def test_refuses_ranks_beyond_int64(self):
+        # 21! > 2**63: the int64 Horner sum and the digits would wrap around
+        with pytest.raises(ValueError, match="n <= 20"):
+            K.batch_unrank(21, np.zeros(1, dtype=np.int64))
+        with pytest.raises(ValueError, match="n <= 20"):
+            K.batch_rank(np.arange(1, 22, dtype=np.uint8).reshape(1, 21))
+
     def test_flip_matches_scalar(self):
         rng = np.random.default_rng(11)
         n = 7
@@ -140,6 +147,13 @@ class TestSignedKernels:
         assert [tuple(row) for row in perms.tolist()] == expected
         assert_ranks_back(K.batch_srank, expected, np.int8, ranks)
 
+    def test_refuses_ranks_beyond_int64(self):
+        # 17! << 17 > 2**63, and a uint16 word holds 16 sign bits
+        with pytest.raises(ValueError, match="n <= 16"):
+            K.batch_sunrank(17, np.zeros(1, dtype=np.int64))
+        with pytest.raises(ValueError, match="n <= 16"):
+            K.batch_srank(-np.arange(1, 18, dtype=np.int8).reshape(1, 17))
+
     def test_signed_flip_matches_scalar(self):
         rng = np.random.default_rng(17)
         n = 5
@@ -201,6 +215,29 @@ class TestBitsets:
         assert np.array_equal(got, expected)
         assert 0 < expected.sum() < expected.size
 
+    def test_set_matches_word_formula(self):
+        # the kernel ORs bytes of a uint8 view; each bit position of the
+        # first, a middle and the last word, set alone, and a batch with
+        # duplicates set onto random words must match the uint64 word formula
+        def word_formula(words, ranks):
+            bit = np.left_shift(np.uint64(1), (ranks & 63).astype(np.uint64))
+            np.bitwise_or.at(words, ranks >> 6, bit)
+
+        for r in [64 * w + b for w in (0, 50, 100) for b in range(64)]:
+            got, expected = K.bitset_alloc(101 * 64), K.bitset_alloc(101 * 64)
+            K.bitset_set(got, np.array([r]))
+            word_formula(expected, np.array([r]))
+            assert np.array_equal(got, expected), r
+        rng = np.random.default_rng(43)
+        words = rng.integers(0, 2**64, size=101, dtype=np.uint64)
+        words[::3] = 0
+        ranks = rng.integers(0, 101 * 64, size=3000)
+        ranks = np.concatenate([ranks, ranks[:500], np.full(7, 101 * 64 - 1)])
+        got, expected = words.copy(), words.copy()
+        K.bitset_set(got, ranks)
+        word_formula(expected, ranks)
+        assert np.array_equal(got, expected)
+
     def test_duplicate_sets_idempotent(self):
         words = K.bitset_alloc(128)
         K.bitset_set(words, np.array([5, 5, 5, 70], dtype=np.int64))
@@ -211,6 +248,40 @@ class TestBitsets:
         K.bitset_set(words, np.array([130, 200], dtype=np.int64))
         sub = words[2:]  # words 2.. hold bits 128..
         assert np.array_equal(K.bitset_extract_ranks(sub, word_offset=2), [130, 200])
+
+    @pytest.mark.parametrize("offset", [0, 3, 1 << 40])
+    def test_extract_matches_unpack_formula(self, offset):
+        # blocks below half nonzero words unpack only those words; the rest,
+        # and the first and last bits of a word, must come out the same
+        def unpack_formula(words):
+            bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+            return np.flatnonzero(bits).astype(np.int64) + 64 * offset
+
+        nwords = 1 << 10
+        rng = np.random.default_rng(47)
+        blocks = [
+            np.zeros(nwords, dtype=np.uint64),
+            np.full(nwords, np.uint64(2**64 - 1)),
+        ]
+        for r in (0, 63, 64, 64 * nwords - 1):
+            block = np.zeros(nwords, dtype=np.uint64)
+            K.bitset_set(block, np.array([r]))
+            blocks.append(block)
+        for density in (1e-4, 1e-3, 1e-2, 0.1, 0.5):
+            block = np.zeros(nwords, dtype=np.uint64)
+            K.bitset_set(block, np.flatnonzero(rng.random(64 * nwords) < density))
+            blocks.append(block)
+        # a block whose nonzero words, under half of them, are full
+        block = np.zeros(nwords, dtype=np.uint64)
+        block[rng.random(nwords) < 0.4] = np.uint64(2**64 - 1)
+        blocks.append(block)
+        sparse = 0
+        for block in blocks:
+            got = K.bitset_extract_ranks(block, word_offset=offset)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, unpack_formula(block))
+            sparse += 2 * np.count_nonzero(block) < nwords
+        assert 3 < sparse < len(blocks)
 
     def test_extract_peak_memory_per_bit(self):
         # One byte per bit unpacked plus the int64 ranks, and no second copy.
@@ -224,6 +295,20 @@ class TestBitsets:
             tracemalloc.stop()
         assert ranks.size == bits and ranks.dtype == np.int64
         assert peak <= 10 * bits
+
+    def test_sparse_extract_peak_memory_per_bit(self):
+        # the sparse path's widest block has just under half its words full;
+        # required_memory charges 9 bytes per bit of a block for extraction
+        words = np.zeros(1 << 15, dtype=np.uint64)
+        words[: (1 << 14) - 1] = np.uint64(2**64 - 1)
+        tracemalloc.start()
+        try:
+            ranks = K.bitset_extract_ranks(words)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ranks.size == 64 * ((1 << 14) - 1)
+        assert peak <= 9 * 64 * words.size
 
     def test_random_against_python_set(self):
         rng = np.random.default_rng(23)

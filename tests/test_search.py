@@ -14,7 +14,7 @@ from oracles import (
     naive_layer_counts,
     signed_flip_reference,
 )
-from pancakes import search
+from pancakes import _kernels, search
 from pancakes._kernels import bitset_extract_ranks
 from pancakes.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from pancakes.graphs import GraphKind, PancakeGraph
@@ -31,6 +31,7 @@ from pancakes.search import (
     resume,
     sort_sequence,
 )
+from pancakes.tables import known_counts
 
 PLAIN = GraphKind.PLAIN
 BURNT = GraphKind.BURNT
@@ -278,6 +279,114 @@ class TestMemoryAccounting:
         monkeypatch.delenv(MEMORY_LIMIT_ENV, raising=False)
         assert resolve_memory_limit(None) == DEFAULT_MEMORY_LIMIT == 4 * 2**30
         assert resolve_memory_limit(123) == 123
+
+
+def ball_layer_bytes(g, counts, max_layer):
+    """What the ball engine charges to expand each of layers 0..max_layer-1,
+    given the graph's true layer counts."""
+    return [
+        search._ball_bytes(
+            g,
+            (counts[k - 1] if k else 0) + counts[k],
+            counts[k],
+            g.degree if k == 0 else g.degree - 1,
+        )
+        for k in range(max_layer)
+    ]
+
+
+class TestBallEngine:
+    """First-K-layer profiles from sorted rank arrays of the last two layers."""
+
+    @pytest.mark.parametrize("kind, top", [(PLAIN, 8), (BURNT, 6)])
+    def test_every_layer_bound_matches_the_bitset_profile(self, profiles, kind, top):
+        for n in range(1, top + 1):
+            full = profiles(kind, n)
+            for k in range(full.depth + 2):
+                ball = search._ball_counts(graph(kind, n), k, None)
+                assert ball == list(full.counts[: k + 1]), (n, k)
+
+    @pytest.mark.parametrize(
+        "kind, n, layers",
+        [(PLAIN, 9, None), (BURNT, 7, None), (PLAIN, 10, range(7)), (BURNT, 8, range(7))],
+    )
+    def test_larger_graphs_match_the_bitset_profile(self, profiles, kind, n, layers):
+        full = profiles(kind, n)
+        for k in layers or [full.depth + 1]:
+            assert search._ball_counts(graph(kind, n), k, None) == list(full.counts[: k + 1])
+
+    @pytest.mark.parametrize(
+        "kind, top, max_layer",
+        [(PLAIN, 14, 5), (PLAIN, 20, 4), (BURNT, 12, 5), (BURNT, 16, 4)],
+    )
+    def test_reproduces_published_cells(self, kind, top, max_layer):
+        for n in range(1, top + 1):
+            p = layer_profile(graph(kind, n), max_layer=max_layer)
+            counts = p.counts + (0,) * (max_layer + 1 - len(p.counts))
+            assert len(p.counts) == max_layer + 1 or p.complete
+            assert counts == known_counts(kind)[n][: max_layer + 1], n
+
+    @pytest.mark.parametrize(
+        "kind, n, max_layer, checkpoint, engine",
+        [
+            (PLAIN, 10, 4, False, "ball"),
+            (PLAIN, 10, 7, False, "bitset"),
+            (BURNT, 8, 8, False, "bitset"),
+            (PLAIN, 10, 4, True, "bitset"),
+            (PLAIN, 10, None, False, "bitset"),
+        ],
+    )
+    def test_engine_choice(self, monkeypatch, tmp_path, kind, n, max_layer, checkpoint, engine):
+        class Ran(Exception):
+            pass
+
+        def ran(name):
+            def run(*args, **kwargs):
+                raise Ran(name)
+
+            return run
+
+        monkeypatch.setattr(search, "_ball_counts", ran("ball"))
+        monkeypatch.setattr(search, "_start", ran("bitset"))
+        path = tmp_path / "g.ckpt" if checkpoint else None
+        with pytest.raises(Ran) as info:
+            layer_profile(graph(kind, n), max_layer=max_layer, checkpoint_path=path)
+        assert str(info.value) == engine
+
+    @pytest.mark.parametrize(
+        "kind, n, max_layer", [(PLAIN, 13, 6), (BURNT, 12, 6), (PLAIN, 20, 4), (BURNT, 16, 4)]
+    )
+    def test_estimate_covers_traced_peak(self, kind, n, max_layer):
+        # a limit of exactly the largest per-layer charge lets the run finish
+        g = graph(kind, n)
+        required = max(ball_layer_bytes(g, known_counts(kind)[n], max_layer))
+        peak = traced_peak(layer_profile, g, max_layer=max_layer, memory_limit=required)
+        assert peak <= required <= search._ball_estimate(g, max_layer)
+
+    def test_refuses_before_expanding_the_layer_over_the_limit(self, monkeypatch):
+        g = graph(PLAIN, 12)
+        counts = known_counts(PLAIN)[12]
+        charges = ball_layer_bytes(g, counts, 5)
+        assert charges == sorted(charges)
+        unranked = []
+        unrank = _kernels.batch_unrank
+
+        def counting_unrank(n, ranks):
+            unranked.append(ranks.size)
+            return unrank(n, ranks)
+
+        monkeypatch.setattr(_kernels, "batch_unrank", counting_unrank)
+        with pytest.raises(MemoryLimitError, match="expanding layer 3 of P_12") as info:
+            layer_profile(g, max_layer=5, memory_limit=charges[3] - 1)
+        assert info.value.required == charges[3]
+        assert sum(unranked) == sum(counts[:3])
+
+    @pytest.mark.parametrize("kind, n, widest", [(PLAIN, 21, 20), (BURNT, 17, 16)])
+    def test_refuses_ranks_beyond_int64(self, monkeypatch, kind, n, widest):
+        monkeypatch.setattr(_kernels, "batch_unrank", None)  # no kernel may run
+        for max_layer in (2, None):
+            with pytest.raises(ValueError, match=f"{kind} graphs support n <= {widest}"):
+                layer_profile(graph(kind, n), max_layer=max_layer)
 
 
 class TestCheckpointing:
