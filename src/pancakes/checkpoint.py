@@ -12,14 +12,17 @@ checksum on read. Both directions stream the pieces straight between the
 file and the arrays, updating the checksum piece by piece, so no copy of the
 whole payload is built.
 
-The CRC-32C is the byte-table CRC, vectorized with NumPy: a buffer is cut
-into lanes of 256 bytes, and the table step runs over one byte column of all
-lanes at once, each lane starting from a zero register (the first from the
-running one). The CRC is linear, so the lane registers are then folded
-pairwise with precomputed "append 256 * 2**j zero bytes" operators, each
-stored as four 256-entry tables, one per register byte. Those tables are
-built on the first call that needs them. Bytes after the last whole lane go
-through the plain byte loop, whose result the fast path reproduces exactly.
+The CRC-32C is the table CRC, vectorized with NumPy: a buffer is cut into
+lanes of 256 bytes, and the table step runs over one 4-byte word column of
+all lanes at once, each lane starting from a zero register (the first from
+the running one). A word step XORs the little-endian word into the register
+and advances it over those 4 bytes with two lookups in 2**16-entry tables,
+one per register half, where the byte loop would take four single-byte
+steps. The CRC is linear, so the lane registers are then folded pairwise
+with precomputed "append 256 * 2**j zero bytes" operators, each stored as
+four 256-entry tables, one per register byte. All these tables are built on
+the first call that needs them. Bytes after the last whole lane go through
+the plain byte loop, whose result the fast path reproduces exactly.
 """
 
 from __future__ import annotations
@@ -79,17 +82,44 @@ def _append_zeros(op: np.ndarray, regs: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _crc_tables() -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The byte table, and for j = 0..log2(_MAX_LANES)-1 the operator that
-    appends _LANE * 2**j zero bytes to a raw CRC register."""
-    table = np.array(_CRC32C_TABLE, dtype=np.uint32)
+def _crc_tables() -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """The word-step tables of the low and high register halves, and for
+    j = 0..log2(_MAX_LANES)-1 the operator that appends _LANE * 2**j zero
+    bytes to a raw CRC register."""
+    # advancing a register over b zero bytes is linear in it; by_bytes[b]
+    # maps the register's low byte to its image after b + 1 of those steps
+    by_bytes = [np.array(_CRC32C_TABLE, dtype=np.uint32)]
+    for _ in range(3):
+        by_bytes.append(by_bytes[0][by_bytes[-1] & 0xFF] ^ (by_bytes[-1] >> 8))
+    # after 4 steps register byte i has gone through 4 - i of them, so entry
+    # 256 * b1 + b0 of the low table is the image of b0 and b1, and likewise
+    # for bytes 2 and 3 in the high table
+    low = (by_bytes[2][:, None] ^ by_bytes[3]).ravel()
+    high = (by_bytes[0][:, None] ^ by_bytes[1]).ravel()
     regs = np.arange(256, dtype=np.uint32) << np.array([[0], [8], [16], [24]], dtype=np.uint32)
-    for _ in range(_LANE):
-        regs = table[regs & 0xFF] ^ (regs >> 8)
+    for _ in range(_LANE // 4):
+        regs = low[regs & 0xFFFF] ^ high[regs >> 16]
     ops = [regs]
     while len(ops) < _MAX_LANES.bit_length() - 1:
         ops.append(_append_zeros(ops[-1], ops[-1]))
-    return table, tuple(ops)
+    return low, high, tuple(ops)
+
+
+def _crc_scratch(nbytes: int) -> tuple[int, int]:
+    """Upper estimates of the bytes :func:`crc32c` allocates for a buffer of
+    ``nbytes``: its tables, which stay cached once built, and the scratch of
+    one call."""
+    lanes = min(_MAX_LANES, nbytes // _LANE)
+    if not lanes:
+        return 0, 0  # the byte loop alone; no table is built
+    # the two word tables, the 4x256 tables of each zero-append operator, and
+    # under 32 KiB of scratch while the operators are built
+    tables = 2 * 4 * (1 << 16) + (_MAX_LANES.bit_length() - 1) * 4 * 4 * 256 + (32 << 10)
+    # per lane of a block: its 256 bytes transposed to word columns, and 28
+    # bytes of registers (the lane and a table image as uint32, two intp
+    # table indices, and the uint32 buffer a ufunc casts the lane through);
+    # the fold after the columns are freed holds less
+    return tables, lanes * (_LANE + 28)
 
 
 def crc32c(data: bytes | bytearray | memoryview | np.ndarray, crc: int = 0) -> int:
@@ -104,15 +134,28 @@ def crc32c(data: bytes | bytearray | memoryview | np.ndarray, crc: int = 0) -> i
     crc ^= 0xFFFFFFFF
     lanes_total = buf.size // _LANE
     if lanes_total:
-        byte_table, zero_ops = _crc_tables()
+        low, high, zero_ops = _crc_tables()
         reg = np.uint32(crc)
         for start in range(0, lanes_total, _MAX_LANES):
             k = min(_MAX_LANES, lanes_total - start)
-            columns = buf[start * _LANE : (start + k) * _LANE].reshape(k, _LANE).T.copy()
+            block = buf[start * _LANE : (start + k) * _LANE].reshape(k, _LANE)
+            # row j holds word j of every lane, in native byte order
+            columns = np.ascontiguousarray(block.view("<u4").T, dtype=np.uint32)
             lanes = np.zeros(k, dtype=np.uint32)
             lanes[0] = reg
-            for column in columns:
-                lanes = byte_table[(lanes ^ column) & 0xFF] ^ (lanes >> 8)
+            # intp indices and a mode other than "raise" (every index is in
+            # range) let np.take write its output without a cast or a buffer
+            low_half = np.empty(k, dtype=np.intp)
+            high_half = np.empty(k, dtype=np.intp)
+            high_image = np.empty(k, dtype=np.uint32)
+            for j in range(_LANE // 4):
+                lanes ^= columns[j]
+                np.bitwise_and(lanes, 0xFFFF, out=low_half)
+                np.right_shift(lanes, 16, out=high_half)
+                np.take(high, high_half, out=high_image, mode="clip")
+                np.take(low, low_half, out=lanes, mode="clip")
+                lanes ^= high_image
+            del columns, low_half, high_half, high_image
             # The CRC is linear: the register after the block is the XOR over
             # i of lane i's register advanced over the k-1-i lanes after it
             # as if they were zeros. Level j of the fold advances the left of

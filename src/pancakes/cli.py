@@ -26,17 +26,6 @@ from .cycles import (
     UnsupportedLengthError,
     verify_classification,
 )
-from .formulas import (
-    FitError,
-    FormulaStatus,
-    UnknownFormulaError,
-    Verdict,
-    check_gregory_newton_con63,
-    check_recurrence_cor62,
-    crosscheck,
-    fit_newton,
-    get_formula,
-)
 from .graphs import GraphKind, PancakeGraph
 from .perms import ParseError, PermError, format_perm, parse_perm
 from .reports import (
@@ -273,14 +262,12 @@ def cmd_cycles(args: argparse.Namespace, out: TextIO) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-def _identity_exit(which: str, verdict: Verdict) -> int:
-    if verdict is Verdict.FAILS:
-        # the recurrence is a proved corollary; the expansion is a conjecture
-        return EXIT_VIOLATION if which == "cor62" else EXIT_CONJECTURE
-    return EXIT_OK
-
-
 def cmd_formulas_check(args: argparse.Namespace, out: TextIO) -> int:
+    # building the formula registry is most of a table's start-up, so only
+    # the formulas commands import it; they call through the module, so a
+    # check replaced there is the one that runs
+    from . import formulas
+
     name = args.which.strip().lower()
     if name in ("cor62", "con63"):
         if args.k is None:
@@ -288,22 +275,29 @@ def cmd_formulas_check(args: argparse.Namespace, out: TextIO) -> int:
         if len(args.ns) != 1:
             raise ValueError(f"{name} checks one n at a time, got a range")
         (n,) = args.ns
-        checker = check_recurrence_cor62 if name == "cor62" else check_gregory_newton_con63
+        checker = (
+            formulas.check_recurrence_cor62
+            if name == "cor62"
+            else formulas.check_gregory_newton_con63
+        )
         report = checker(args.k, n)
         if args.format == "json":
             out.write(render(identity_document(report)))
         else:
             detail = ""
-            if report.verdict in (Verdict.HOLDS, Verdict.FAILS):
+            if report.verdict in (formulas.Verdict.HOLDS, formulas.Verdict.FAILS):
                 detail = f" (lhs={report.lhs}, rhs={report.rhs})"
             elif report.reason:
                 detail = f" ({report.reason})"
             out.write(
                 f"{name} at k={report.k}, n={report.n}: {report.verdict.value}{detail}\n"
             )
-        return _identity_exit(name, report.verdict)
+        if report.verdict is formulas.Verdict.FAILS:
+            # the recurrence is a proved corollary; the expansion is a conjecture
+            return EXIT_VIOLATION if name == "cor62" else EXIT_CONJECTURE
+        return EXIT_OK
 
-    spec = get_formula(args.which)
+    spec = formulas.get_formula(args.which)
     profiles = [
         layer_profile(
             PancakeGraph(spec.kind, n),
@@ -313,7 +307,7 @@ def cmd_formulas_check(args: argparse.Namespace, out: TextIO) -> int:
         )
         for n in args.ns
     ]
-    report = crosscheck(args.which, profiles)
+    report = formulas.crosscheck(args.which, profiles)
     if args.format == "json":
         out.write(render(crosscheck_document(report)))
     else:
@@ -332,12 +326,14 @@ def cmd_formulas_check(args: argparse.Namespace, out: TextIO) -> int:
         out.write("\n".join(lines) + "\n")
     if report.ok:
         return EXIT_OK
-    if report.status is FormulaStatus.CONJECTURED:
+    if report.status is formulas.FormulaStatus.CONJECTURED:
         return EXIT_CONJECTURE
     return EXIT_VIOLATION
 
 
 def cmd_formulas_fit(args: argparse.Namespace, out: TextIO) -> int:
+    from . import formulas
+
     if args.k is None or args.k < 0:
         raise ValueError("--k must be a nonnegative layer index")
     points = []
@@ -350,7 +346,11 @@ def cmd_formulas_fit(args: argparse.Namespace, out: TextIO) -> int:
         )
         value = profile.counts[args.k] if args.k < len(profile.counts) else 0
         points.append((n, value))
-    fit = fit_newton(points)
+    try:
+        fit = formulas.fit_newton(points)
+    except formulas.FitError as exc:
+        print(f"result: {exc}", file=sys.stderr)
+        return EXIT_CONJECTURE
     if args.format == "json":
         out.write(render(fit_document(args.kind, args.k, points, fit)))
     else:
@@ -391,15 +391,11 @@ def main(argv: list[str] | None = None) -> int:
         where = f" (offending token: {token!r})" if token else ""
         print(f"error: {exc}{where}", file=sys.stderr)
         return EXIT_USAGE
-    except FitError as exc:
-        print(f"result: {exc}", file=sys.stderr)
-        return EXIT_CONJECTURE
     except CheckpointError as exc:
         # Subclasses ValueError, so it must be caught before the usage branch.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (
-        UnknownFormulaError,
         UnsupportedLengthError,
         MemoryLimitError,
         InfeasibleSizeError,

@@ -8,12 +8,13 @@ functions here only shape data; they never compute anything.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .cycles import CensusReport
-from .formulas import CrosscheckReport, IdentityReport, NewtonPoly
-from .graphs import GraphKind
-from .search import LayerProfile
+if TYPE_CHECKING:  # annotations only: importing this module loads no engine
+    from .cycles import CensusReport
+    from .formulas import CrosscheckReport, IdentityReport, NewtonPoly
+    from .graphs import GraphKind
+    from .search import LayerProfile
 
 __all__ = [
     "FORMAT_VERSION",

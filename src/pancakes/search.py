@@ -19,9 +19,10 @@ neighbor of the current one that lies in neither of them; the same batch
 kernels produce the neighbors, and sorting removes duplicates.
 :func:`layer_profile` runs it for a ``max_layer`` search without a
 checkpoint when its estimate, from |L_{k+1}| <= (degree - 1) |L_k|, is
-below the bitset engine's :func:`required_memory`. So ``table --k`` and the
-formula checks reach the first layers of graphs whose bitsets would not
-fit, up to the int64 rank limits: plain n <= 20 and burnt n <= 16.
+below the bitset engine's :func:`required_memory` at one worker, so that
+the choice does not depend on ``workers``. So ``table --k`` and the formula
+checks reach the first layers of graphs whose bitsets would not fit, up to
+the int64 rank limits: plain n <= 20 and burnt n <= 16.
 
 Distances and sort sequences of one stack do not search the whole graph:
 an iterative-deepening A* with the gap heuristic walks from the stack to the
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +54,7 @@ from . import _kernels as K
 from .checkpoint import (
     CheckpointError,
     SearchCheckpoint,
+    _crc_scratch,
     _peek_checkpoint,
     read_checkpoint,
     write_checkpoint,
@@ -135,6 +136,10 @@ def required_memory(
 ) -> int:
     """Upper estimate of the bytes a bitset search on ``graph`` will allocate.
 
+    The estimate is the larger of two phases, expanding a layer and saving
+    or reading a checkpoint between layers, plus the checksum tables that a
+    checkpoint leaves cached for both.
+
     ``with_layer_map`` adds three bitsets that keep every layer by its index
     mod 3, enough to find a vertex's layer. No search here keeps them (the
     queries :func:`distance` and :func:`sort_sequence` hold no bitsets at
@@ -162,7 +167,14 @@ def required_memory(
     # bitset_popcount: np.bitwise_count's uint8 per frontier word, and the
     # buffer in which sum() casts them to uint64, np.getbufsize() at most
     popcount = nwords + 8 * min(nwords, np.getbufsize())
-    return bitsets + buffers + extraction + popcount
+    expansion = bitsets + buffers + extraction + popcount
+    # a checkpoint save or read holds visited and the frontier and checksums
+    # one of them at a time; the candidates are merged or not yet allocated
+    crc_tables, crc_call = _crc_scratch(8 * nwords)
+    checkpoint = 2 * 8 * nwords + crc_call
+    # the checksum tables stay cached once the first save or read builds
+    # them, so the expansions after it hold them too
+    return crc_tables + max(expansion, checkpoint)
 
 
 def _check_memory(
@@ -241,6 +253,8 @@ def _expand_layer(
     nwords = visited.shape[0]
     if workers <= 1 or nwords < workers:
         return _expand_span(graph, visited, frontier, 0, nwords)
+    from concurrent.futures import ThreadPoolExecutor  # single-worker runs skip its import
+
     bounds = [nwords * w // workers for w in range(workers + 1)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = list(
@@ -413,15 +427,16 @@ def layer_profile(
     thread, so its memory grows with the first layers, not with the graph.
     It runs when ``max_layer`` is given, there is no ``checkpoint_path``,
     and its estimate for the first ``max_layer`` layers is below
-    :func:`required_memory`; it then refuses before any layer whose
-    expansion would exceed the memory limit. Ranks are int64, so plain
-    graphs with n > 20 and burnt ones with n > 16 raise ValueError.
+    :func:`required_memory` at one worker, whatever ``workers`` is; it then
+    refuses before any layer whose expansion would exceed the memory limit.
+    Ranks are int64, so plain graphs with n > 20 and burnt ones with n > 16
+    raise ValueError.
     """
     _check_rank_width(graph)
     if (
         max_layer is not None
         and checkpoint_path is None
-        and _ball_estimate(graph, max_layer) < required_memory(graph, workers=workers)
+        and _ball_estimate(graph, max_layer) < required_memory(graph)
     ):
         counts = _ball_counts(graph, max_layer, memory_limit)
         return LayerProfile(

@@ -69,6 +69,25 @@ class TestCrc32c:
             done = length
             assert crc32c(data[:length], init) == expected, length
 
+    @pytest.mark.parametrize("offset", range(4))
+    def test_word_steps_match_byte_loop_at_any_alignment(self, offset):
+        # views starting 1-3 bytes into the buffer put every 4-byte word of
+        # the lanes off its natural alignment
+        lengths = [0, 1, LANE - 1, LANE, LANE + 1, (1 << 20) - 1, (1 << 20) + 513]
+        raw = np.random.default_rng(11).integers(0, 256, offset + max(lengths), dtype=np.uint8)
+        view = memoryview(raw.tobytes())[offset:]
+        expected, done = 0x9E3779B9, 0
+        for length in lengths:
+            expected = crc32c_reference(view[done:length], expected)
+            done = length
+            assert crc32c(view[:length], 0x9E3779B9) == expected, length
+        # the same bytes checksummed piece by piece, each piece from the end
+        # of the one before
+        crc = 0x9E3779B9
+        for lo, hi in zip(lengths, lengths[1:]):
+            crc = crc32c(view[lo:hi], crc)
+        assert crc == expected
+
     def test_accepts_any_contiguous_buffer(self):
         words = np.random.default_rng(3).integers(0, 2**63, 1000, dtype=np.uint64)
         raw = words.tobytes()

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pancakes import cli
+from pancakes import cli, formulas
 from pancakes.cli import (
     EXIT_CONJECTURE,
     EXIT_IO,
@@ -418,7 +418,7 @@ class TestFormulasCheck:
                                 used_exception=False),),
             skipped=(),
         )
-        monkeypatch.setattr(cli, "crosscheck", lambda name, profiles: failing)
+        monkeypatch.setattr(formulas, "crosscheck", lambda name, profiles: failing)
         code, out, _ = run(
             capsys, "formulas", "check", "--which", "r4-plain", "--n", "4"
         )
@@ -431,7 +431,7 @@ class TestFormulasCheck:
                                 used_exception=False),),
             skipped=(),
         )
-        monkeypatch.setattr(cli, "crosscheck", lambda name, profiles: failing)
+        monkeypatch.setattr(formulas, "crosscheck", lambda name, profiles: failing)
         code, _, _ = run(
             capsys, "formulas", "check", "--which", "r5-burnt", "--n", "4"
         )
@@ -442,14 +442,14 @@ class TestFormulasCheck:
             return IdentityReport(identity, 4, 10, Verdict.FAILS, 1, 2)
 
         monkeypatch.setattr(
-            cli, "check_recurrence_cor62", lambda k, n: fake("cor62")
+            formulas, "check_recurrence_cor62", lambda k, n: fake("cor62")
         )
         code, _, _ = run(
             capsys, "formulas", "check", "--which", "cor62", "--k", "4", "--n", "10"
         )
         assert code == EXIT_VIOLATION
         monkeypatch.setattr(
-            cli, "check_gregory_newton_con63", lambda k, n: fake("con63")
+            formulas, "check_gregory_newton_con63", lambda k, n: fake("con63")
         )
         code, _, _ = run(
             capsys, "formulas", "check", "--which", "con63", "--k", "4", "--n", "10"
