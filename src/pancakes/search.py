@@ -154,11 +154,12 @@ def required_memory(
     bitsets = (2 + workers + 3 * with_layer_map) * 8 * nwords
     # per-worker batch buffers, per rank of a chunk, at the widest of three
     # moments: ranking a flip holds three n-byte rows (the batch, a flipped
-    # copy and, in BP_n, its absolute values) plus 14 bytes (an int32 sum as
-    # it is widened to int64, two byte buffers); setting fresh bits holds one
-    # row plus 17 bytes (the int64 fresh ranks, their int64 byte index and a
-    # uint8 bit); unranking the next chunk holds two rows plus at most 25
-    # bytes (int64 shifted ranks, rest and digit, one byte)
+    # copy and, in BP_n, its absolute values) plus 12 bytes (a uint16 Horner
+    # sum as it is widened to int64, two byte buffers); compacting the fresh
+    # ranks holds one row plus 25 bytes (the int64 neighbor ranks, a bool
+    # mask, and np.compress's int64 index and fresh ranks); unranking the
+    # next chunk holds two rows plus at most 26 bytes (int64 shifted ranks,
+    # rest and digit, and the uint16 rest they narrow to)
     buffers = workers * chunk * (3 * graph.n + 24)
     # per-worker extraction of one frontier block: unpackbits' byte per bit
     # plus flatnonzero's int64 per set bit (a block under half nonzero words
@@ -235,11 +236,12 @@ def _expand_span(
             perms = unrank(graph.n, ranks[start : start + _CHUNK])
             for i in graph.flip_indices:
                 neighbor_ranks = rank(flip(perms, i))
-                fresh = neighbor_ranks[~K.bitset_test(visited, neighbor_ranks)]
+                seen = K.bitset_test(visited, neighbor_ranks)
+                fresh = np.compress(np.logical_not(seen, out=seen), neighbor_ranks)
                 # drop this flip's ranks once they are used, so that they are
                 # not alive while the next flip is ranked (required_memory
                 # counts on it)
-                del neighbor_ranks
+                del neighbor_ranks, seen
                 if fresh.size:
                     K.bitset_set(cand, fresh)
                 del fresh
@@ -358,7 +360,23 @@ def _in_layer(layer: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         return np.zeros(ranks.shape, dtype=np.bool_)
     where = np.searchsorted(layer, ranks)
     np.minimum(where, layer.size - 1, out=where)
-    return layer[where] == ranks
+    return np.take(layer, where) == ranks
+
+
+def _compress(keep: np.ndarray, ranks: np.ndarray, step: int) -> np.ndarray:
+    """``ranks[keep]``, by ``np.compress`` on ``step`` entries at a time.
+
+    ``np.compress`` outruns boolean indexing, but it builds an int64 index
+    of the entries it keeps; the steps bound that index by ``step`` entries.
+    """
+    kept = np.empty(np.count_nonzero(keep), dtype=ranks.dtype)
+    end = 0
+    for start in range(0, ranks.size, step):
+        part = keep[start : start + step]
+        count = np.count_nonzero(part)
+        np.compress(part, ranks[start : start + step], out=kept[end : end + count])
+        end += count
+    return kept
 
 
 def _ball_counts(graph: PancakeGraph, max_layer: int, limit: int | None) -> list[int]:
@@ -387,9 +405,10 @@ def _ball_counts(graph: PancakeGraph, max_layer: int, limit: int | None) -> list
                 ranks = rank(flip(perms, i))
                 seen = _in_layer(layer, ranks)
                 seen |= _in_layer(previous, ranks)
-                fresh = ranks[~seen]
-                found[end : end + fresh.size] = fresh
-                end += fresh.size
+                fresh = np.logical_not(seen, out=seen)
+                count = np.count_nonzero(fresh)
+                np.compress(fresh, ranks, out=found[end : end + count])
+                end += count
                 # as in _expand_span, nothing of this flip stays alive while
                 # the next one is ranked (_ball_bytes counts on it)
                 del ranks, seen, fresh
@@ -400,7 +419,9 @@ def _ball_counts(graph: PancakeGraph, max_layer: int, limit: int | None) -> list
         keep = np.empty(end, dtype=np.bool_)
         keep[:1] = True
         np.not_equal(found[1:], found[:-1], out=keep[1:])
-        previous, layer = layer, found[keep]
+        # an index of at most one chunk's int64 ranks: the per-chunk buffers
+        # of _ball_bytes, which are free by now, cover it
+        previous, layer = layer, _compress(keep, found, min(_CHUNK, layer.size))
         del found, keep
         if layer.size:
             counts.append(int(layer.size))

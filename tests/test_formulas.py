@@ -1,6 +1,7 @@
 """Closed-form evaluation, identity checks, and forward-difference fitting."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -308,9 +309,48 @@ def search_cells(kind, top, max_layer):
     return cells
 
 
+def power_coefficients(poly):
+    """Ascending power-basis coefficients of a NewtonPoly, as Fractions."""
+    total = [Fraction(0)] * (poly.degree + 1)
+    for m, c in enumerate(poly.coefficients):
+        # c * C(n - n0, m) = c / m! * prod_{t < m} (n - n0 - t)
+        term = [Fraction(c, math.factorial(m))]
+        for t in range(m):
+            term = [
+                (term[i - 1] if i else 0) - (poly.n0 + t) * (term[i] if i < len(term) else 0)
+                for i in range(len(term) + 1)
+            ]
+        for i, a in enumerate(term):
+            total[i] += a
+    return total
+
+
 class TestIdentitiesOnSearchOutput:
     """The paper's numerical evidence, checked on this program's own counts
     instead of the transcribed tables."""
+
+    def test_con63_and_registered_polynomials_on_full_burnt_profiles(self, profiles):
+        # full profiles of BP_1..BP_8, shared with the acceptance suite; for
+        # k = 7 the base values are n = 1..7 and n = 8 is held out
+        cells = {}
+        for n in range(1, 9):
+            counts = profiles(BURNT, n).counts
+            for k in range(1, 8):
+                cells[k, n] = counts[k] if k < len(counts) else 0
+        for k in range(1, 8):
+            for n in range(k + 1, 9):
+                report = check_gregory_newton_con63(k, n, cells)
+                assert report.verdict is Verdict.HOLDS, (k, n, report)
+        # con63 has R_k^B vanish at n = 0; with that point the cells n <= 8
+        # witness a degree-k fit for every k <= 7, which must be the
+        # registered polynomial coefficient by coefficient, not only at the
+        # sampled n
+        for k in range(1, 8):
+            fit = fit_newton([(0, 0)] + [(n, cells[k, n]) for n in range(1, 9)])
+            spec = get_formula(f"r{k}-burnt")
+            assert fit.degree == spec.degree == k
+            registered = [Fraction(c, spec.denominator) for c in spec.coefficients]
+            assert power_coefficients(fit) == registered, k
 
     def test_con63_holds_on_burnt_profiles(self):
         cells = search_cells(BURNT, 12, 6)

@@ -62,10 +62,12 @@ class TestUnsignedKernels:
                 assert tuple(int(x) for x in row) == unrank(n, int(r)).entries
             assert np.array_equal(K.batch_rank(perms), ranks)
 
-    @pytest.mark.parametrize("n", [12, 13, 20])
+    @pytest.mark.parametrize("n", [8, 9, 12, 13, 20])
     def test_roundtrip_at_accumulator_edge(self, n):
-        # 12! < 2**31 <= 13!: n = 12 is the last int32 accumulator, and 20 is
-        # the last n whose ranks fit in int64
+        # 8! <= 2**16 < 9!: n = 8 is the last whole uint16 Horner sum and unrank
+        # remainder, 9 the first that starts wider; 12! < 2**31 <= 13!: n = 12
+        # is the last int32 accumulator, and 20 is the last n whose ranks fit
+        # in int64
         ranks = edge_ranks(math.factorial(n))
         before = ranks.copy()
         perms = K.batch_unrank(n, ranks)
@@ -134,11 +136,13 @@ class TestSignedKernels:
                 assert tuple(int(x) for x in row) == sunrank(n, int(r)).entries
             assert np.array_equal(K.batch_srank(perms), ranks)
 
-    @pytest.mark.parametrize("n", [8, 9, 12, 13, 16])
+    @pytest.mark.parametrize("n", [8, 9, 10, 11, 12, 13, 16])
     def test_roundtrip_at_sign_word_and_accumulator_edge(self, n):
-        # n = 8 is the last uint8 sign word and 9 the first uint16 one; the
-        # unsigned part switches from int32 to int64 after 12; 16 is the last
-        # n whose signed ranks fit in int64
+        # n = 8 is the last uint8 sign word and 9 the first uint16 one;
+        # 9! * 2**9 < 2**31 <= 10! * 2**10: 9 is the last signed rank finished
+        # in int32, and 10 and 11 widen an int32 unsigned part to shift in the
+        # signs in int64; the unsigned part switches from int32 to int64 after
+        # 12; 16 is the last n whose signed ranks fit in int64
         ranks = edge_ranks(math.factorial(n) << n)
         before = ranks.copy()
         perms = K.batch_sunrank(n, ranks)
@@ -146,6 +150,18 @@ class TestSignedKernels:
         expected = [sunrank(n, int(r)).entries for r in ranks]
         assert [tuple(row) for row in perms.tolist()] == expected
         assert_ranks_back(K.batch_srank, expected, np.int8, ranks)
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_srank_matches_scalar_over_every_sign_pattern(self, n):
+        # every sign bit position must land where perms.srank puts it, in the
+        # uint8 (n = 8) and the uint16 (n = 9) sign word
+        rng = np.random.default_rng(41 + n)
+        patterns = np.arange(1 << n)
+        bits = (patterns[:, None] >> np.arange(n)) & 1
+        for entries in ([*range(1, n + 1)], [*range(n, 0, -1)], list(rng.permutation(n) + 1)):
+            rows = np.where(bits == 1, -np.array(entries), np.array(entries))
+            expected = [srank(SignedPerm(tuple(int(x) for x in row))) for row in rows]
+            assert_ranks_back(K.batch_srank, rows, np.int8, expected)
 
     def test_refuses_ranks_beyond_int64(self):
         # 17! << 17 > 2**63, and a uint16 word holds 16 sign bits
