@@ -37,9 +37,10 @@ entries on NumPy 2.4:
 - the signed rank is finished in int32 while it fits, as above, which
   more than halves the shift and the OR.
 
-Ranks must fit in int64: n! < 2**63 holds for plain n <= 20, and
-n! * 2**n < 2**63 for signed n <= 16. Beyond that the kernels raise
-ValueError instead of wrapping around.
+Ranks must fit in int64: n! < 2**63 holds for plain n <= 20 and
+n! * 2**n < 2**63 for signed n <= 16, the limits :data:`MAX_RANK_N` and
+:data:`MAX_SRANK_N` that the layer search also refuses beyond. Past them
+the kernels raise ValueError instead of wrapping around.
 
 Bitsets are flat uint64 arrays with bit ``b`` of word ``w`` addressing rank
 ``64*w + b``. :func:`bitset_set`, :func:`bitset_test` and
@@ -75,23 +76,32 @@ __all__ = [
 ]
 
 
+# the largest n whose plain (n! - 1) and signed ((n! << n) - 1) ranks fit in
+# int64: 20! < 2**63 <= 21! and 16! * 2**16 < 2**63 <= 17! * 2**17
+MAX_RANK_N = 20
+MAX_SRANK_N = 16
+
+
 def factorials(n: int) -> list[int]:
     return [math.factorial(k) for k in range(n + 1)]
 
 
 def _lehmer_dtype(n: int) -> type[np.signedinteger]:
     """Narrowest signed dtype that holds every Lehmer rank below n!."""
-    size = math.factorial(n)
-    if size >= 2**63:
-        raise ValueError(f"ranks of {n}-entry permutations do not fit in int64 (n <= 20)")
-    return np.int32 if size < 2**31 else np.int64
+    if n > MAX_RANK_N:
+        raise ValueError(
+            f"ranks of {n}-entry permutations do not fit in int64 (n <= {MAX_RANK_N})"
+        )
+    return np.int32 if math.factorial(n) < 2**31 else np.int64
 
 
 def _sign_dtype(n: int) -> type[np.unsignedinteger]:
     """Unsigned dtype whose low n bits hold the sign bits of a signed rank."""
-    if n > 16:
-        # a uint16 word would drop sign bits, and 17! << 17 overflows int64
-        raise ValueError(f"signed ranks of {n} entries do not fit in int64 (n <= 16)")
+    if n > MAX_SRANK_N:
+        # a uint16 word would also drop sign bits
+        raise ValueError(
+            f"signed ranks of {n} entries do not fit in int64 (n <= {MAX_SRANK_N})"
+        )
     return np.uint8 if n <= 8 else np.uint16
 
 

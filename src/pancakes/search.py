@@ -1,28 +1,30 @@
 """Breadth-first layer profiles of pancake graphs, and single-stack queries.
 
-Two engines count the layers, with identical results.
+Two engines count the layers, with identical results. Both expand a layer
+through one loop, :func:`_fresh_neighbors`, which unranks a chunk of ranks,
+applies every flip with the vectorized kernels, ranks the neighbors and
+yields those the engine has not seen; one rule, :func:`_chunk_bytes`,
+charges its per-rank buffers in both engines' memory estimates.
 
 The bitset engine searches the whole graph. The visited set and the current
 frontier are flat bit arrays indexed by permutation rank (BP_8 has ~10.3M
-vertices but its bitset is 1.3 MB). Each layer is expanded by scanning the
-frontier's set bits in blocks, unranking them, applying every flip with the
-vectorized kernels, ranking the neighbors, and setting the bits of
-previously unseen vertices; the popcount of the merged result is the next
-layer count. One generator runs this loop; profiles, checkpointed profiles
-and resumed profiles consume its layers.
+vertices but its bitset is 1.3 MB). The loop takes the frontier's set bits
+block by block and tests neighbors against the visited set; the popcount of
+the fresh neighbors' merged bits is the next layer count. One generator
+runs the layers for fresh, checkpointed and resumed profiles alike.
 
 The ball engine counts only the first K layers, in memory that grows with
 those layers instead of with the graph (frontier search: Korf, Zhang,
 Thayer & Hohwald, JACM 2005). It holds the last two layers as sorted int64
-rank arrays. The graphs are undirected, so the next layer is every
-neighbor of the current one that lies in neither of them; the same batch
-kernels produce the neighbors, and sorting removes duplicates.
-:func:`layer_profile` runs it for a ``max_layer`` search without a
-checkpoint when its estimate, from |L_{k+1}| <= (degree - 1) |L_k|, is
-below the bitset engine's :func:`required_memory` at one worker, so that
-the choice does not depend on ``workers``. So ``table --k`` and the formula
-checks reach the first layers of graphs whose bitsets would not fit, up to
-the int64 rank limits: plain n <= 20 and burnt n <= 16.
+rank arrays. The graphs are undirected, so the next layer is every neighbor
+of the current one in neither array, which is the loop's test; sorting
+removes duplicates. :func:`layer_profile` runs it for a ``max_layer``
+search without a checkpoint when its estimate, from
+|L_{k+1}| <= (degree - 1) |L_k|, is below the bitset engine's
+:func:`required_memory` at one worker, so that the choice does not depend
+on ``workers``. So ``table --k`` and the formula checks reach the first
+layers of graphs whose bitsets would not fit, up to the int64 rank limits
+that :mod:`pancakes._kernels` states.
 
 Distances and sort sequences of one stack do not search the whole graph:
 an iterative-deepening A* with the gap heuristic walks from the stack to the
@@ -45,7 +47,7 @@ variable or the ``memory_limit`` argument.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,6 +133,19 @@ def resolve_memory_limit(memory_limit: int | None) -> int:
     return DEFAULT_MEMORY_LIMIT
 
 
+def _chunk_bytes(graph: PancakeGraph, ranks: int) -> int:
+    """Bytes of the batch buffers of :func:`_fresh_neighbors` on ``ranks`` ranks."""
+    # per rank of a chunk, 3n + 24 covers the widest of three moments:
+    # ranking a flip holds three n-byte rows (the batch, a flipped copy and,
+    # in BP_n, its absolute values) plus 12 bytes (a uint16 Horner sum widened
+    # to int64, two byte buffers); unranking holds two rows plus at most 26
+    # bytes (int64 shifted ranks, rest and digit, and their uint16 rest);
+    # dropping seen neighbors holds one row plus at most 26 bytes (int64 ranks
+    # and a bool mask, then either np.compress's int64 index and fresh ranks
+    # or the ball engine's int64 positions, looked-up ranks and bool result)
+    return min(_CHUNK, ranks) * (3 * graph.n + 24)
+
+
 def required_memory(
     graph: PancakeGraph, *, workers: int = 1, with_layer_map: bool = False
 ) -> int:
@@ -147,20 +162,11 @@ def required_memory(
     """
     size = graph.size
     nwords = (size + 63) // 64
-    chunk = min(_CHUNK, size)
     # visited + the frontier being expanded + one candidate bitset per worker
     # (no caller keeps the start frontier alive past layer 1), and with the
     # layer map its three residue bitsets
     bitsets = (2 + workers + 3 * with_layer_map) * 8 * nwords
-    # per-worker batch buffers, per rank of a chunk, at the widest of three
-    # moments: ranking a flip holds three n-byte rows (the batch, a flipped
-    # copy and, in BP_n, its absolute values) plus 12 bytes (a uint16 Horner
-    # sum as it is widened to int64, two byte buffers); compacting the fresh
-    # ranks holds one row plus 25 bytes (the int64 neighbor ranks, a bool
-    # mask, and np.compress's int64 index and fresh ranks); unranking the
-    # next chunk holds two rows plus at most 26 bytes (int64 shifted ranks,
-    # rest and digit, and the uint16 rest they narrow to)
-    buffers = workers * chunk * (3 * graph.n + 24)
+    buffers = workers * _chunk_bytes(graph, size)
     # per-worker extraction of one frontier block: unpackbits' byte per bit
     # plus flatnonzero's int64 per set bit (a block under half nonzero words
     # unpacks only those, at most 1,049 bytes per nonzero word)
@@ -178,11 +184,8 @@ def required_memory(
     return crc_tables + max(expansion, checkpoint)
 
 
-def _check_memory(
-    graph: PancakeGraph, limit: int | None, workers: int, what: str
-) -> None:
+def _check_memory(required: int, limit: int | None, what: str) -> None:
     limit = resolve_memory_limit(limit)
-    required = required_memory(graph, workers=workers)
     if required > limit:
         raise MemoryLimitError(required, limit, what)
 
@@ -191,7 +194,7 @@ def _start(
     graph: PancakeGraph, limit: int | None, workers: int, what: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Refuse an oversized search, else visited set and frontier of the identity."""
-    _check_memory(graph, limit, workers, what)
+    _check_memory(required_memory(graph, workers=workers), limit, what)
     visited = K.bitset_alloc(graph.size)
     K.bitset_set(visited, np.zeros(1, dtype=np.int64))  # the identity always ranks 0
     return visited, visited.copy()
@@ -211,20 +214,34 @@ def _save(
         write_checkpoint(checkpoint_path, cp)
 
 
-def _batch_kernels(graph: PancakeGraph):
-    """The unrank, rank and flip kernels of ``graph``'s kind."""
-    # kernels are looked up when called, so that wrappers installed on the
-    # _kernels module see every call
+def _fresh_neighbors(
+    graph: PancakeGraph, ranks: np.ndarray, seen: Callable[[np.ndarray], np.ndarray]
+) -> Iterator[np.ndarray]:
+    """For each chunk of ``ranks`` and each flip, the neighbor ranks not ``seen``.
+
+    Nothing of one flip is alive while the next one is ranked (:func:`_chunk_bytes`
+    counts on it), so a caller drops each array before it asks for the next.
+    The kernels are looked up on each run, so that wrappers on _kernels see every call.
+    """
     if graph.kind is GraphKind.BURNT:
-        return K.batch_sunrank, K.batch_srank, K.batch_signed_flip
-    return K.batch_unrank, K.batch_rank, K.batch_flip
+        unrank, rank, flip = K.batch_sunrank, K.batch_srank, K.batch_signed_flip
+    else:
+        unrank, rank, flip = K.batch_unrank, K.batch_rank, K.batch_flip
+    for start in range(0, ranks.size, _CHUNK):
+        perms = unrank(graph.n, ranks[start : start + _CHUNK])
+        for i in graph.flip_indices:
+            neighbor_ranks = rank(flip(perms, i))
+            old = seen(neighbor_ranks)
+            fresh = np.compress(np.logical_not(old, out=old), neighbor_ranks)
+            del neighbor_ranks, old
+            yield fresh
+            del fresh
 
 
 def _expand_span(
     graph: PancakeGraph, visited: np.ndarray, frontier: np.ndarray, lo: int, hi: int
 ) -> np.ndarray:
     """Candidate bitset of unvisited neighbors of frontier bits in words [lo, hi)."""
-    unrank, rank, flip = _batch_kernels(graph)
     cand = np.zeros_like(visited)
     for block in range(lo, hi, _BLOCK_WORDS):
         top = min(block + _BLOCK_WORDS, hi)
@@ -232,19 +249,10 @@ def _expand_span(
         if not span.any():
             continue
         ranks = K.bitset_extract_ranks(span, word_offset=block)
-        for start in range(0, ranks.size, _CHUNK):
-            perms = unrank(graph.n, ranks[start : start + _CHUNK])
-            for i in graph.flip_indices:
-                neighbor_ranks = rank(flip(perms, i))
-                seen = K.bitset_test(visited, neighbor_ranks)
-                fresh = np.compress(np.logical_not(seen, out=seen), neighbor_ranks)
-                # drop this flip's ranks once they are used, so that they are
-                # not alive while the next flip is ranked (required_memory
-                # counts on it)
-                del neighbor_ranks, seen
-                if fresh.size:
-                    K.bitset_set(cand, fresh)
-                del fresh
+        for fresh in _fresh_neighbors(graph, ranks, lambda r: K.bitset_test(visited, r)):
+            if fresh.size:
+                K.bitset_set(cand, fresh)
+            del fresh
     return cand
 
 
@@ -259,14 +267,10 @@ def _expand_layer(
 
     bounds = [nwords * w // workers for w in range(workers + 1)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(
-            pool.map(
-                lambda span: _expand_span(graph, visited, frontier, *span),
-                zip(bounds, bounds[1:]),
-            )
+        cand, *parts = pool.map(
+            lambda lo, hi: _expand_span(graph, visited, frontier, lo, hi), bounds, bounds[1:]
         )
-    cand = parts[0]
-    for part in parts[1:]:
+    for part in parts:
         np.bitwise_or(cand, part, out=cand)
     return cand
 
@@ -306,18 +310,32 @@ def _run_layers(
         # the generator alone holds the frontier, so that it is freed as soon
         # as the next layer replaces it, before that layer's popcount
         del new
-    complete = sum(counts) == graph.size
-    return LayerProfile(graph.kind, graph.n, tuple(counts), complete=complete)
+    return _profile(graph, counts)
+
+
+def _profile(graph: PancakeGraph, counts: list[int] | tuple[int, ...]) -> LayerProfile:
+    counts = tuple(counts)
+    return LayerProfile(graph.kind, graph.n, counts, complete=sum(counts) == graph.size)
+
+
+def _check_max_layer(max_layer: int | None) -> None:
+    if max_layer is not None and max_layer < 0:
+        raise ValueError(f"max_layer must be a nonnegative layer index, got {max_layer}")
 
 
 def _check_rank_width(graph: PancakeGraph) -> None:
     """Refuse a graph whose ranks do not fit the kernels' int64."""
-    widest = 16 if graph.kind is GraphKind.BURNT else 20
+    widest = K.MAX_SRANK_N if graph.kind is GraphKind.BURNT else K.MAX_RANK_N
     if graph.n > widest:
         raise ValueError(
             f"the ranks of {graph} do not fit in int64; layer profiles of "
             f"{graph.kind} graphs support n <= {widest}"
         )
+
+
+def _ball_fanout(graph: PancakeGraph, k: int) -> int:
+    # every vertex but the identity has a neighbor in the layer before it
+    return graph.degree if k == 0 else graph.degree - 1
 
 
 def _ball_bytes(graph: PancakeGraph, held: int, expanding: int, fanout: int) -> int:
@@ -328,13 +346,8 @@ def _ball_bytes(graph: PancakeGraph, held: int, expanding: int, fanout: int) -> 
     ``fanout`` neighbors outside those two layers.
     """
     # 8 bytes per held rank; per candidate neighbor an int64 slot, then one
-    # byte of the duplicate mask and at most 8 bytes of the new layer; the
-    # per-rank batch buffers of one chunk are those of required_memory (the
-    # widest moment here, the second membership test, holds one row plus
-    # 26 bytes: the int64 ranks, one bool, and the int64 positions, looked-up
-    # ranks and bool result of the test)
-    chunk = min(_CHUNK, expanding)
-    return 8 * held + 17 * fanout * expanding + chunk * (3 * graph.n + 24)
+    # byte of the duplicate mask and at most 8 bytes of the new layer
+    return 8 * held + 17 * fanout * expanding + _chunk_bytes(graph, expanding)
 
 
 def _ball_estimate(graph: PancakeGraph, max_layer: int) -> int:
@@ -346,7 +359,7 @@ def _ball_estimate(graph: PancakeGraph, max_layer: int) -> int:
     """
     peak, previous, layer = 0, 0, 1
     for k in range(max_layer):
-        fanout = graph.degree if k == 0 else graph.degree - 1
+        fanout = _ball_fanout(graph, k)
         peak = max(peak, _ball_bytes(graph, previous + layer, layer, fanout))
         if layer == graph.size:
             break  # every later layer has the same bound
@@ -385,33 +398,21 @@ def _ball_counts(graph: PancakeGraph, max_layer: int, limit: int | None) -> list
     The graphs are undirected, so every neighbor of layer k lies in layer
     k - 1, k or k + 1, and L_{k+1} = N(L_k) minus L_k and L_{k-1}.
     """
-    limit = resolve_memory_limit(limit)
-    unrank, rank, flip = _batch_kernels(graph)
     previous = np.zeros(0, dtype=np.int64)
     layer = np.zeros(1, dtype=np.int64)  # the identity always ranks 0
     counts = [1]
     while layer.size and len(counts) <= max_layer:
-        fanout = graph.degree if len(counts) == 1 else graph.degree - 1
+        fanout = _ball_fanout(graph, len(counts) - 1)
         required = _ball_bytes(graph, previous.size + layer.size, layer.size, fanout)
-        if required > limit:
-            raise MemoryLimitError(
-                required, limit, f"expanding layer {len(counts) - 1} of {graph}"
-            )
+        _check_memory(required, limit, f"expanding layer {len(counts) - 1} of {graph}")
         found = np.empty(fanout * layer.size, dtype=np.int64)
         end = 0
-        for start in range(0, layer.size, _CHUNK):
-            perms = unrank(graph.n, layer[start : start + _CHUNK])
-            for i in graph.flip_indices:
-                ranks = rank(flip(perms, i))
-                seen = _in_layer(layer, ranks)
-                seen |= _in_layer(previous, ranks)
-                fresh = np.logical_not(seen, out=seen)
-                count = np.count_nonzero(fresh)
-                np.compress(fresh, ranks, out=found[end : end + count])
-                end += count
-                # as in _expand_span, nothing of this flip stays alive while
-                # the next one is ranked (_ball_bytes counts on it)
-                del ranks, seen, fresh
+        for fresh in _fresh_neighbors(
+            graph, layer, lambda r: _in_layer(layer, r) | _in_layer(previous, r)
+        ):
+            found[end : end + fresh.size] = fresh
+            end += fresh.size
+            del fresh
         # np.unique would do, but NumPy 2.4 runs it through a hash set, which
         # took 2.0 s against this sort's 43 ms for 2M int64 ranks
         found = found[:end]
@@ -450,19 +451,18 @@ def layer_profile(
     and its estimate for the first ``max_layer`` layers is below
     :func:`required_memory` at one worker, whatever ``workers`` is; it then
     refuses before any layer whose expansion would exceed the memory limit.
-    Ranks are int64, so plain graphs with n > 20 and burnt ones with n > 16
-    raise ValueError.
+    Ranks are int64, so graphs beyond the kernels' limits (``MAX_RANK_N``
+    plain, ``MAX_SRANK_N`` burnt, in :mod:`pancakes._kernels`) and a
+    negative ``max_layer`` raise ValueError.
     """
+    _check_max_layer(max_layer)
     _check_rank_width(graph)
     if (
         max_layer is not None
         and checkpoint_path is None
         and _ball_estimate(graph, max_layer) < required_memory(graph)
     ):
-        counts = _ball_counts(graph, max_layer, memory_limit)
-        return LayerProfile(
-            graph.kind, graph.n, tuple(counts), complete=sum(counts) == graph.size
-        )
+        return _profile(graph, _ball_counts(graph, max_layer, memory_limit))
     visited, frontier = _start(
         graph, memory_limit, workers, f"layer profile of {graph}"
     )
@@ -490,7 +490,9 @@ def resume(
     The final profile is identical to an uninterrupted run. ``max_layer`` cuts
     the profile to layers 0..max_layer even when the checkpoint holds more.
     ``expect`` guards against resuming a checkpoint for a different graph.
+    A negative ``max_layer`` raises ValueError before the file is read.
     """
+    _check_max_layer(max_layer)
     # decide from the header and a block-wise scan of the frontier whether a
     # search will run, and refuse an oversized one before any bit array is
     # read; read_checkpoint then verifies the checksum before any use
@@ -502,14 +504,11 @@ def resume(
         max_layer is not None and header.completed_layer >= max_layer
     )
     if not done:
-        what = f"resumed layer profile of {graph}"
-        _check_memory(graph, memory_limit, workers, what)
+        required = required_memory(graph, workers=workers)
+        _check_memory(required, memory_limit, f"resumed layer profile of {graph}")
     cp = read_checkpoint(checkpoint_path)
     if done:
-        counts = cp.counts if max_layer is None else cp.counts[: max_layer + 1]
-        return LayerProfile(
-            graph.kind, graph.n, counts, complete=sum(counts) == graph.size
-        )
+        return _profile(graph, cp.counts if max_layer is None else cp.counts[: max_layer + 1])
     visited, counts = cp.visited, list(cp.counts)
     layers = _layers(graph, visited, cp.frontier, workers)
     del cp  # as in layer_profile: the generator alone holds the frontier

@@ -182,6 +182,16 @@ class TestTable:
         code, out, err = run(capsys, "table", "--graph", graph, "--n", str(n), "--k", str(k))
         assert code == EXIT_USAGE and out == "" and "int64" in err
 
+    def test_negative_k_refused(self, capsys, tmp_path):
+        # refused both for a fresh table and when an existing checkpoint is resumed
+        path = tmp_path / "p4.ckpt"
+        table = ("table", "--graph", "plain", "--n", "4", "--k")
+        code, out, err = run(capsys, *table, "-1")
+        assert code == EXIT_USAGE and out == "" and "max_layer" in err
+        assert run(capsys, *table, "1", "--checkpoint", str(path))[0] == EXIT_OK
+        code, out, err = run(capsys, *table, "-1", "--checkpoint", str(path))
+        assert code == EXIT_USAGE and out == "" and "max_layer" in err
+
     def test_workers_must_be_positive(self, capsys):
         code, _, err = run(
             capsys, "table", "--graph", "plain", "--n", "4", "--workers", "0"

@@ -1,5 +1,7 @@
 """Cycle enumeration, canonical forms, and classification matching."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +21,7 @@ from pancakes.cycles import (
     match_form,
     verify_classification,
 )
+from pancakes.formulas import eval_formula
 from pancakes.graphs import GraphKind, PancakeGraph
 
 PLAIN = GraphKind.PLAIN
@@ -346,6 +349,24 @@ class TestVerifyClassification:
         assert report.ok
         assert {fid: t.count for fid, t in report.per_family.items()} == tallies
         assert report.total == sum(tallies.values())
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_burnt_eight_cycles_account_for_r4_burnt(self, n):
+        # the paper's R_4^B theorem: of the n (n-1)^3 non-backtracking 4-flip
+        # walks from the identity, those beyond the R_4^B(n) vertices they
+        # reach are the n (n-1)^2 / 2 8-cycles through it, in families 23-26
+        report = verify_classification(graph(BURNT, n), 8)
+        assert report.ok
+        assert report.total == n * (n - 1) ** 3 - eval_formula("r4-burnt", n)
+        assert report.total == n * (n - 1) ** 2 // 2
+        expected = {
+            23: 2 * math.comb(n, 3),
+            24: math.comb(n - 1, 3),
+            25: (n - 1) * (n - 2),
+            26: n - 1,
+        }
+        tallies = {fid: t.count for fid, t in report.per_family.items()}
+        assert tallies == {fid: c for fid, c in expected.items() if c}
 
     def test_plain_per_vertex_totals(self):
         # one 6-cycle, 7(n-3) = 42 7-cycles and (n^3+12n^2-103n+176)/2 = 475

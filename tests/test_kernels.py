@@ -37,6 +37,13 @@ def assert_ranks_back(rank_kernel, rows, dtype, ranks):
         assert np.array_equal(back, ranks)
 
 
+def test_rank_limits_are_the_widest_that_fit_int64():
+    # the largest plain rank is n! - 1 and the largest signed one n! * 2**n - 1
+    assert math.factorial(K.MAX_RANK_N) < 2**63 <= math.factorial(K.MAX_RANK_N + 1)
+    widest, past = K.MAX_SRANK_N, K.MAX_SRANK_N + 1
+    assert math.factorial(widest) << widest < 2**63 <= math.factorial(past) << past
+
+
 class TestUnsignedKernels:
     def test_unrank_matches_scalar_exhaustive(self):
         for n in range(1, 7):

@@ -221,7 +221,8 @@ class TestMemoryAccounting:
     def test_estimate_covers_traced_peak_of_queries(
         self, kind, n, workers, last_layer_vertex
     ):
-        # a last-layer target makes the query search the whole graph
+        # the queries hold no bitsets; a last-layer target gives IDA* its
+        # deepest search, and its peak stays within the bitset estimate
         g = graph(kind, n)
         target = last_layer_vertex(g)
         tracemalloc.start()
@@ -467,6 +468,21 @@ class TestCheckpointing:
         resumed = resume(path)
         assert resumed.counts == partial.counts
         assert read_checkpoint(path).terminal
+
+    def test_negative_max_layer_is_refused(self, tmp_path):
+        path = tmp_path / "p5.ckpt"
+        layer_profile(graph(PLAIN, 5), max_layer=2, checkpoint_path=path)
+        before = path.read_bytes()
+        for kwargs in ({}, {"checkpoint_path": tmp_path / "new.ckpt"}):
+            with pytest.raises(ValueError, match="max_layer"):
+                layer_profile(graph(PLAIN, 5), max_layer=-1, **kwargs)
+        with pytest.raises(ValueError, match="max_layer"):
+            resume(path, max_layer=-1)
+        # refused before any file is written or read
+        assert not (tmp_path / "new.ckpt").exists()
+        with pytest.raises(ValueError, match="max_layer"):
+            resume(tmp_path / "missing.ckpt", max_layer=-1)
+        assert path.read_bytes() == before
 
     def test_resume_with_workers(self, tmp_path):
         direct = layer_profile(graph(PLAIN, 6))
