@@ -11,17 +11,36 @@ views of C-ordered (n, m) arrays, so each position's m entries are
 contiguous and every per-position step is one vector operation on a
 contiguous row. The kernels accept batches in either memory order.
 
+Ranking is done by :class:`FlipRanks`. The search ranks every flip of a
+batch, in ascending flip order, from one per-batch state: flip i keeps
+Lehmer digits i..n-1 and their share of the rank (the *tail*, the parent
+rank mod (n - i)!), and each step of i updates the digits of the flipped
+prefix with one comparison per entry before it. That is O(n^2) vector
+operations for all n - 1 or n flips of a rank, where flipping a copy and
+ranking it anew cost O(n^2) per flip. :func:`batch_rank` and
+:func:`batch_srank` with one argument rank a batch whole, through the same
+state: a batch is its reversal flipped whole, a flip that leaves no tail.
+
 Each per-position step runs in the narrowest dtype that holds its values,
 and ranks are widened to int64 once, where a kernel returns. Lehmer ranks
 below n! are held in int32 while n! < 2**31 (n <= 12) and in int64 above
 that, and narrower where the values allow: unrank takes each digit with
 one floor division and one multiply-subtract, in uint16 once the remainder
-is below 2**16, and rank folds the digits in by Horner's rule, in uint16
-while the partial sum fits (all of it for n <= 8). Digits, entries and
-comparison results are uint8 or bool, written into buffers allocated once
-per call. The n sign bits of a signed rank travel in a uint8 word (n <= 8)
-or a uint16 word (n <= 16) and meet the rank in one shift and one OR, in
-int32 while n! * 2**n < 2**31 (n <= 9) and in int64 above that.
+is below 2**16. A flip's digits are uint8; they are folded by Horner's
+rule in runs whose sums fit in uint16, the runs meet in the wide sum, and
+the tail, kept in the wide dtype, is added last. A signed rank puts the n
+sign bits in its low bits: the tail keeps the parent's bits from i up, and
+the new low i bits, the complements of the flipped entries' signs in
+reverse order, travel in a uint8 word (n <= 8) or a uint16 word (n <= 16),
+one doubling and one OR per step. Its sum and tail are int32 while
+n! * 2**n < 2**31 (n <= 9) and int64 above that. Digits, entries and
+comparison results are uint8 or bool. The state's buffers are allocated
+once and serve every batch of a search's chunk loop.
+
+:func:`batch_flip` and :func:`batch_signed_flip` stay: the search no longer
+calls them, but the kernel tests rank flipped copies with them as a second
+route to every flip's ranks, and the benchmark's tracer
+(``perfbench/spans.py``) wraps them by name.
 
 Every per-rank step also stays on NumPy's fast loops, as timed at 2**18
 entries on NumPy 2.4:
@@ -33,9 +52,7 @@ entries on NumPy 2.4:
   uint8 one, about twice as fast;
 - ranks are compacted with ``np.compress``, not boolean-mask indexing
   (the search's fresh ranks and the ball engine's layers), 2 to 3.5 times
-  faster, and gathered with ``np.take``, not fancy indexing;
-- the signed rank is finished in int32 while it fits, as above, which
-  more than halves the shift and the OR.
+  faster, and gathered with ``np.take``, not fancy indexing.
 
 Ranks must fit in int64: n! < 2**63 holds for plain n <= 20 and
 n! * 2**n < 2**63 for signed n <= 16, the limits :data:`MAX_RANK_N` and
@@ -52,8 +69,10 @@ this module elsewhere fails.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
+import weakref
 
 import numpy as np
 
@@ -62,6 +81,7 @@ if sys.byteorder != "little":
 
 __all__ = [
     "factorials",
+    "FlipRanks",
     "batch_unrank",
     "batch_rank",
     "batch_flip",
@@ -139,35 +159,188 @@ def batch_unrank(n: int, ranks: np.ndarray) -> np.ndarray:
     return cols.T
 
 
-def _lehmer_ranks(perms: np.ndarray) -> np.ndarray:
-    """Lexicographic ranks of one-line uint8 rows: uint16 for n <= 8, else
-    the Lehmer dtype of n."""
-    cols = perms.T
-    n, m = cols.shape
-    wide = _lehmer_dtype(n)
-    ranks = np.zeros(m, dtype=np.uint16)
-    smaller = np.empty(m, dtype=np.uint8)
-    less = np.empty(m, dtype=np.uint8)
-    bound = 1
-    for pos in range(n - 1):
-        v = cols[pos]
-        np.less(cols[pos + 1], v, out=smaller.view(np.bool_))
-        for k in range(pos + 2, n):
-            np.less(cols[k], v, out=less.view(np.bool_))
-            smaller += less
-        # Horner form of sum(digit[pos] * (n - 1 - pos)!); the sum so far is
-        # below n! / (n - 1 - pos)!, so it stays in uint16 while that fits
-        bound *= n - pos
-        if bound > 1 << 16 and ranks.dtype != wide:
-            ranks = ranks.astype(wide)
-        ranks *= n - pos
-        ranks += smaller
-    return ranks
+@functools.cache
+def _horner_runs(n: int, flip: int) -> list[tuple[int, list[tuple[int, int]]]]:
+    """How :meth:`FlipRanks.rank` folds the prefix digits of ``flip``: runs
+    of (row, radix), most significant first, each with the product of its
+    radices.
+
+    Row j of the prefix (position flip - 1 - j) has radix n - flip + 1 + j.
+    Runs are cut from the least significant up so that each one's Horner
+    sum fits in uint16.
+    """
+    cut: list[list[tuple[int, int]]] = []
+    span = 1 << 17
+    for row in range(flip):
+        radix = n - flip + 1 + row
+        if radix == 1:
+            continue  # the digit is 0
+        if span * radix > 1 << 16:
+            cut.append([])
+            span = 1
+        cut[-1].append((row, radix))
+        span *= radix
+    return [(math.prod(r for _, r in run), run[::-1]) for run in reversed(cut)]
 
 
-def batch_rank(perms: np.ndarray) -> np.ndarray:
-    """Lexicographic ranks of one-line uint8 rows, shape (m,) int64."""
-    return _lehmer_ranks(perms).astype(np.int64, copy=False)
+class FlipRanks:
+    """State from which :func:`batch_rank` and :func:`batch_srank`
+    rank every flip of a batch, in ascending flip order.
+
+    Flip i leaves Lehmer digits i..n-1 as they are, so their share of a
+    neighbor's rank is the batch rank mod (n - i)!, the *tail*. Entry p[j]
+    (j < i) moves to position i - 1 - j, where its digit is p[j] - 1 minus
+    the count of smaller entries among p[j+1..i-1]; each step of i compares
+    the entry that joins the prefix with those before it, once. A signed
+    flip keeps the sign bits at positions >= i, which stay in the tail, and
+    gives bit q < i the complement of entry i - 1 - q's sign: the *word*,
+    one doubling and one OR per step. So ranking all n flips costs O(n^2)
+    per rank, where ranking each flip anew cost O(n^2) per flip.
+
+    The buffers hold ``rows`` ranks and are reused for each batch that
+    :meth:`load` brings in, so a search allocates them once per run of
+    chunks. The int64 ranks a call returns are one of them, overwritten by
+    the next call.
+    """
+
+    def __init__(self, n: int, rows: int, *, signed: bool = False) -> None:
+        if signed:
+            self._word_buf = np.empty(rows, dtype=_sign_dtype(n))
+            wide = np.int32 if math.factorial(n) << n < 2**31 else np.int64
+        else:
+            wide = _lehmer_dtype(n)
+        self.n, self.signed = n, signed
+        self._scale = 1 << n if signed else 1
+        self._rows = rows
+        self._digit_buf = np.empty((n, rows), dtype=np.uint8)
+        self._tail_buf = np.empty(rows, dtype=wide)
+        # the uint16 Horner runs of rank(); _advance() uses the same bytes for
+        # its comparison results and counts
+        self._group_buf = np.empty(rows, dtype=np.uint16)
+        self._out_buf = np.empty(rows, dtype=np.int64)
+        # the wide Horner sum of rank() and the tail steps of _advance(); an
+        # int64 sum is the result itself
+        self._sum_buf = self._out_buf if wide is np.int64 else np.empty(rows, dtype=wide)
+        self._batch = None
+
+    def load(self, perms: np.ndarray, ranks: np.ndarray | None) -> None:
+        """Take the batch ``perms`` and its ``ranks``; flip 0 is next.
+
+        A signed batch's entries are replaced by their absolute values, in
+        place; its signs are read from ``ranks``. Without ``ranks`` only
+        flip n of a plain batch can be ranked.
+        """
+        m, rows = perms.shape[0], self._rows
+        if self.signed:
+            np.abs(perms, out=perms)
+        # a weak reference: the batch is freed when its caller drops it
+        self._batch, self._flip = weakref.ref(perms), 0
+        self._digits = self._digit_buf[:, :m]
+        bytes_ = self._group_buf.view(np.uint8)
+        self._less, self._count = bytes_[:m], bytes_[rows : rows + m]
+        self._group, self._sum, self._out = self._group_buf[:m], self._sum_buf[:m], self._out_buf[:m]
+        self._tail = None
+        if ranks is not None:
+            self._tail = self._tail_buf[:m]
+            np.copyto(self._tail, ranks, casting="unsafe")  # the ranks fit
+        if self.signed:
+            self._word = self._word_buf[:m]
+            self._word.fill(0)
+
+    def _advance(self, cols: np.ndarray, flip: int) -> None:
+        """Step the digits, tail and word from the current flip to ``flip``;
+        ``cols`` holds the batch's entries by position."""
+        n, digits, count, less, tail = self.n, self._digits, self._count, self._less, self._tail
+        is_less = less.view(np.bool_)
+        for t in range(self._flip, flip):
+            # entry t joins the prefix; its own digit counts every smaller entry
+            v = cols[t]
+            np.subtract(v, 1, out=digits[t])
+            # the parent's digit at t, needed for the tail, is 0 at t = n - 1
+            parent_digit = tail is not None and t < n - 1
+            if parent_digit:
+                count.fill(0)
+            for j in range(t):
+                np.less(v, cols[j], out=is_less)
+                digits[j] -= less
+                if parent_digit:
+                    count += less
+            if tail is None:
+                continue
+            step = self._sum
+            if parent_digit:
+                # v - 1 minus the t - count smaller entries before it
+                count += v
+                count -= t + 1
+                weight = math.factorial(n - 1 - t) * self._scale
+                np.multiply(count, weight, out=step, dtype=tail.dtype)
+                tail -= step
+            if self.signed:
+                # bit t of the tail is entry t's sign; the word takes its complement
+                np.bitwise_and(tail, 1 << t, out=step)
+                tail -= step
+                np.equal(step, 0, out=is_less)
+                word = self._word
+                np.add(word, word, out=word)  # word <<= 1
+                word |= less
+        self._flip = flip
+
+    def rank(self, perms: np.ndarray, flip: int) -> np.ndarray:
+        """Ranks of the loaded batch ``perms`` with its first ``flip`` entries flipped."""
+        if self._batch is None or self._batch() is not perms:
+            raise ValueError("the state holds another batch; load this one first")
+        if flip < self._flip:
+            raise ValueError(f"flips must ascend: flip {flip} after flip {self._flip}")
+        self._advance(perms.T.view(np.uint8), flip)
+        digits, group, total = self._digits, self._group, self._sum
+        runs = _horner_runs(self.n, flip)
+        if not runs:
+            total.fill(0)
+        # each run is a uint16 Horner sum, and the runs meet in the wide sum
+        for k, (span, ((row, _), *rest)) in enumerate(runs):
+            np.copyto(group, digits[row])
+            for row, radix in rest:
+                group *= radix
+                group += digits[row]
+            if k == 0:
+                np.copyto(total, group)
+            else:
+                total *= span
+                total += group
+        if self._tail is not None:
+            total *= math.factorial(self.n - flip) * self._scale
+            total += self._tail
+            if self.signed:
+                total += self._word  # the sign bits below the tail's
+        if total is not self._out:
+            np.copyto(self._out, total)
+        return self._out
+
+
+def _whole_ranks(perms: np.ndarray) -> np.ndarray:
+    """Lexicographic ranks of one-line uint8 rows, shape (m,) int64.
+
+    The rows are their own reversals with all n entries flipped, a flip
+    that leaves no tail, so :class:`FlipRanks` ranks them without ranks.
+    """
+    m, n = perms.shape
+    state = FlipRanks(n, m)
+    reversal = perms[:, ::-1]
+    state.load(reversal, None)
+    return state.rank(reversal, n)
+
+
+def batch_rank(
+    perms: np.ndarray, flip: int | None = None, state: FlipRanks | None = None
+) -> np.ndarray:
+    """Lexicographic ranks of one-line uint8 rows, shape (m,) int64.
+
+    Given ``flip`` and a ``state`` that loaded ``perms``, the ranks of the
+    rows with their first ``flip`` entries reversed; see :class:`FlipRanks`.
+    """
+    if state is None:
+        return _whole_ranks(perms)
+    return state.rank(perms, flip)
 
 
 def batch_flip(perms: np.ndarray, i: int) -> np.ndarray:
@@ -198,10 +371,18 @@ def batch_sunrank(n: int, ranks: np.ndarray) -> np.ndarray:
     return out
 
 
-def batch_srank(perms: np.ndarray) -> np.ndarray:
-    """Signed ranks of int8 window rows, shape (m,) int64."""
+def batch_srank(
+    perms: np.ndarray, flip: int | None = None, state: FlipRanks | None = None
+) -> np.ndarray:
+    """Signed ranks of int8 window rows, shape (m,) int64.
+
+    Given ``flip`` and a signed ``state`` that loaded ``perms``, the ranks of
+    the rows with their first ``flip`` entries reversed and negated; see
+    :class:`FlipRanks`.
+    """
+    if state is not None:
+        return state.rank(perms, flip)
     m, n = perms.shape
-    ranks = _lehmer_ranks(np.abs(perms).view(np.uint8))
     signs = np.zeros(m, dtype=_sign_dtype(n))
     negative = np.empty(m, dtype=np.uint8)
     cols = perms.T
@@ -209,12 +390,10 @@ def batch_srank(perms: np.ndarray) -> np.ndarray:
         np.less(cols[idx], 0, out=negative.view(np.bool_))
         np.add(signs, signs, out=signs)  # signs <<= 1
         signs |= negative
-    # the shift and the OR run in int32 while n! * 2**n < 2**31 (n <= 9)
-    signed = np.int32 if math.factorial(n) << n < 2**31 else np.int64
-    ranks = ranks.astype(signed, copy=False)
+    ranks = _whole_ranks(np.abs(perms).view(np.uint8))
     ranks <<= n
     ranks |= signs
-    return ranks.astype(np.int64, copy=False)
+    return ranks
 
 
 def batch_signed_flip(perms: np.ndarray, i: int) -> np.ndarray:

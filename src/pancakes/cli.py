@@ -334,8 +334,6 @@ def cmd_formulas_check(args: argparse.Namespace, out: TextIO) -> int:
 def cmd_formulas_fit(args: argparse.Namespace, out: TextIO) -> int:
     from . import formulas
 
-    if args.k is None or args.k < 0:
-        raise ValueError("--k must be a nonnegative layer index")
     points = []
     for n in args.ns:
         profile = layer_profile(
@@ -377,6 +375,8 @@ def main(argv: list[str] | None = None) -> int:
             args.ns = parse_n_range(str(args.n))
         if args.workers < 1:
             raise ValueError(f"--workers must be >= 1, got {args.workers}")
+        if getattr(args, "k", None) is not None and args.k < 0:
+            raise ValueError("--k must be a nonnegative layer index")
         if not args.output:
             return args.run(args, sys.stdout)
         try:

@@ -80,7 +80,9 @@ __all__ = [
 DEFAULT_MEMORY_LIMIT = 4 << 30
 MEMORY_LIMIT_ENV = "PANCAKE_MEM_LIMIT"
 
-_CHUNK = 1 << 18  # ranks processed per kernel call
+# ranks processed per kernel call; at 1 << 18 a chunk's buffers outgrow a
+# 4 MB L2 cache and a P_10 profile ran about 9% slower
+_CHUNK = 1 << 16
 _BLOCK_WORDS = 1 << 15  # frontier words scanned per extraction
 
 
@@ -135,15 +137,17 @@ def resolve_memory_limit(memory_limit: int | None) -> int:
 
 def _chunk_bytes(graph: PancakeGraph, ranks: int) -> int:
     """Bytes of the batch buffers of :func:`_fresh_neighbors` on ``ranks`` ranks."""
-    # per rank of a chunk, 3n + 24 covers the widest of three moments:
-    # ranking a flip holds three n-byte rows (the batch, a flipped copy and,
-    # in BP_n, its absolute values) plus 12 bytes (a uint16 Horner sum widened
-    # to int64, two byte buffers); unranking holds two rows plus at most 26
-    # bytes (int64 shifted ranks, rest and digit, and their uint16 rest);
-    # dropping seen neighbors holds one row plus at most 26 bytes (int64 ranks
-    # and a bool mask, then either np.compress's int64 index and fresh ranks
-    # or the ball engine's int64 positions, looked-up ranks and bool result)
-    return min(_CHUNK, ranks) * (3 * graph.n + 24)
+    # per rank of a chunk, 2n + 48 covers the widest moment. The FlipRanks
+    # state lives through every chunk: n digit bytes and at most 20 more (the
+    # int64 result, the wide tail, a uint16 and a wide Horner sum, where an
+    # int64 sum is the result, and the sign word). Beside it one n-byte batch
+    # and at most 26 bytes: unranking holds the int64 shifted signed ranks,
+    # two wide and two uint16 remainders and digits; dropping seen neighbors
+    # at most 18 (the bitset test's int64 byte offsets and two byte arrays,
+    # np.compress's int64 index and fresh ranks, or the ball engine's int64
+    # positions and looked-up ranks). The last 2 bytes cover NumPy's casting
+    # buffers of np.getbufsize() elements in a full chunk
+    return min(_CHUNK, ranks) * (2 * graph.n + 48)
 
 
 def required_memory(
@@ -219,23 +223,28 @@ def _fresh_neighbors(
 ) -> Iterator[np.ndarray]:
     """For each chunk of ``ranks`` and each flip, the neighbor ranks not ``seen``.
 
-    Nothing of one flip is alive while the next one is ranked (:func:`_chunk_bytes`
-    counts on it), so a caller drops each array before it asks for the next.
-    The kernels are looked up on each run, so that wrappers on _kernels see every call.
+    One :class:`~pancakes._kernels.FlipRanks` ranks every flip of a chunk, in
+    ascending order, and its buffers serve every chunk. Nothing of one flip
+    is alive while the next one is ranked (:func:`_chunk_bytes` counts on
+    it), so a caller drops each array before it asks for the next. The
+    kernels are looked up on each run, so that wrappers on _kernels see
+    every call.
     """
-    if graph.kind is GraphKind.BURNT:
-        unrank, rank, flip = K.batch_sunrank, K.batch_srank, K.batch_signed_flip
-    else:
-        unrank, rank, flip = K.batch_unrank, K.batch_rank, K.batch_flip
+    signed = graph.kind is GraphKind.BURNT
+    unrank, rank = (K.batch_sunrank, K.batch_srank) if signed else (K.batch_unrank, K.batch_rank)
+    state = K.FlipRanks(graph.n, min(_CHUNK, ranks.size), signed=signed)
     for start in range(0, ranks.size, _CHUNK):
-        perms = unrank(graph.n, ranks[start : start + _CHUNK])
+        chunk = ranks[start : start + _CHUNK]
+        perms = unrank(graph.n, chunk)
+        state.load(perms, chunk)
         for i in graph.flip_indices:
-            neighbor_ranks = rank(flip(perms, i))
+            neighbor_ranks = rank(perms, i, state)
             old = seen(neighbor_ranks)
             fresh = np.compress(np.logical_not(old, out=old), neighbor_ranks)
             del neighbor_ranks, old
             yield fresh
             del fresh
+        del perms  # before the next chunk is unranked
 
 
 def _expand_span(
@@ -253,6 +262,7 @@ def _expand_span(
             if fresh.size:
                 K.bitset_set(cand, fresh)
             del fresh
+        del ranks  # before the next block is extracted
     return cand
 
 

@@ -183,14 +183,21 @@ class TestTable:
         assert code == EXIT_USAGE and out == "" and "int64" in err
 
     def test_negative_k_refused(self, capsys, tmp_path):
-        # refused both for a fresh table and when an existing checkpoint is resumed
+        # refused both for a fresh table and when an existing checkpoint is
+        # resumed, and by the formula commands, with one message
         path = tmp_path / "p4.ckpt"
         table = ("table", "--graph", "plain", "--n", "4", "--k")
+        message = "error: --k must be a nonnegative layer index\n"
         code, out, err = run(capsys, *table, "-1")
-        assert code == EXIT_USAGE and out == "" and "max_layer" in err
+        assert (code, out, err) == (EXIT_USAGE, "", message)
         assert run(capsys, *table, "1", "--checkpoint", str(path))[0] == EXIT_OK
         code, out, err = run(capsys, *table, "-1", "--checkpoint", str(path))
-        assert code == EXIT_USAGE and out == "" and "max_layer" in err
+        assert (code, out, err) == (EXIT_USAGE, "", message)
+        for formula in (
+            ("formulas", "fit", "--graph", "burnt", "--n", "1..4", "--k", "-1"),
+            ("formulas", "check", "--which", "cor62", "--n", "10", "--k", "-1"),
+        ):
+            assert run(capsys, *formula) == (EXIT_USAGE, "", message)
 
     def test_workers_must_be_positive(self, capsys):
         code, _, err = run(

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pancakes import _kernels as K
 from pancakes.perms import (
@@ -214,6 +215,120 @@ class TestSignedKernels:
         perms = K.batch_sunrank(n, ranks)
         for i in range(1, n + 1):
             assert np.array_equal(K.batch_signed_flip(K.batch_signed_flip(perms, i), i), perms)
+
+
+def flip_ranks(n, ranks, signed, state=None):
+    """Each flip's ranks, in ascending order, from one FlipRanks loaded with
+    the unranked ``ranks``, as the search ranks a chunk."""
+    unrank, rank = (K.batch_sunrank, K.batch_srank) if signed else (K.batch_unrank, K.batch_rank)
+    perms = unrank(n, ranks)
+    if state is None:
+        state = K.FlipRanks(n, ranks.size, signed=signed)
+    state.load(perms, ranks)
+    out = {}
+    for i in range(1 if signed else 2, n + 1):
+        got = rank(perms, i, state)
+        assert got.dtype == np.int64 and got.shape == ranks.shape
+        out[i] = got.copy()  # the next flip overwrites it
+    return out
+
+
+def flipped_ranks(n, ranks, signed):
+    """Each flip's ranks from a flipped copy of the batch, ranked whole."""
+    if signed:
+        perms = K.batch_sunrank(n, ranks)
+        return {i: K.batch_srank(K.batch_signed_flip(perms, i)) for i in range(1, n + 1)}
+    perms = K.batch_unrank(n, ranks)
+    return {i: K.batch_rank(K.batch_flip(perms, i)) for i in range(2, n + 1)}
+
+
+def ranks_with_ends(size):
+    """Lists of ranks below ``size`` that often hold its first and last rank."""
+    rank = st.one_of(st.integers(0, size - 1), st.sampled_from([0, size - 1]))
+    return st.lists(rank, max_size=40).map(lambda r: np.array(r, dtype=np.int64))
+
+
+class TestFlipRanks:
+    def test_plain_flips_match_scalar_exhaustive(self):
+        for n in range(2, 8):
+            got = flip_ranks(n, np.arange(math.factorial(n), dtype=np.int64), signed=False)
+            scalar = [unrank(n, r) for r in range(math.factorial(n))]
+            for i in range(2, n + 1):
+                assert got[i].tolist() == [rank(apply_flip(p, i)) for p in scalar], (n, i)
+
+    def test_signed_flips_match_scalar_exhaustive(self):
+        for n in range(1, 6):
+            size = math.factorial(n) << n
+            got = flip_ranks(n, np.arange(size, dtype=np.int64), signed=True)
+            scalar = [sunrank(n, r) for r in range(size)]
+            for i in range(1, n + 1):
+                assert got[i].tolist() == [srank(apply_signed_flip(s, i)) for s in scalar], (n, i)
+
+    # 8! <= 2**16 < 9!: a flip's digits fold in one uint16 run up to n = 8 and
+    # in two from 9; 12 and 13 hold the tail and the sum in int32, then int64;
+    # 20 is the plain limit
+    @pytest.mark.parametrize("n", [8, 9, 12, 13, 20])
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_plain_at_dtype_edges(self, n, data):
+        ranks = data.draw(ranks_with_ends(math.factorial(n)))
+        expected = flipped_ranks(n, ranks, signed=False)
+        for i, got in flip_ranks(n, ranks, signed=False).items():
+            assert np.array_equal(got, expected[i]), i
+
+    # a uint8 sign word up to n = 8, uint16 from 9; the sum in int32 up to
+    # n = 9 (9! * 2**9 < 2**31), int64 from 10; 16 is the signed limit
+    @pytest.mark.parametrize("n", [8, 9, 10, 16])
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_signed_at_dtype_edges(self, n, data):
+        ranks = data.draw(ranks_with_ends(math.factorial(n) << n))
+        expected = flipped_ranks(n, ranks, signed=True)
+        for i, got in flip_ranks(n, ranks, signed=True).items():
+            assert np.array_equal(got, expected[i]), i
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_chunks_of_no_rank_and_of_one(self, signed):
+        n = 7
+        size = math.factorial(n) << (n if signed else 0)
+        empty = flip_ranks(n, np.zeros(0, dtype=np.int64), signed)
+        assert all(got.size == 0 for got in empty.values())
+        for r in (0, 1234, size - 1):
+            one = np.array([r], dtype=np.int64)
+            expected = flipped_ranks(n, one, signed)
+            assert {i: got.tolist() for i, got in flip_ranks(n, one, signed).items()} == {
+                i: ranks.tolist() for i, ranks in expected.items()
+            }
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_state_serves_a_shorter_batch_after_a_full_one(self, signed):
+        # the search reuses one state for every chunk, the last one shorter
+        n = 9
+        size = math.factorial(n) << (n if signed else 0)
+        ranks = np.random.default_rng(53).integers(0, size, size=1000, dtype=np.int64)
+        state = K.FlipRanks(n, 1000, signed=signed)
+        for batch in (ranks, ranks[:337], ranks[1:2]):
+            got = flip_ranks(n, batch, signed, state)
+            expected = flipped_ranks(n, batch, signed)
+            assert all(np.array_equal(got[i], expected[i]) for i in got)
+
+    def test_refuses_descending_flips_and_another_batch(self):
+        n = 6
+        ranks = np.arange(50, dtype=np.int64)
+        perms = K.batch_unrank(n, ranks)
+        state = K.FlipRanks(n, 50)
+        state.load(perms, ranks)
+        K.batch_rank(perms, 4, state)
+        with pytest.raises(ValueError, match="flips must ascend"):
+            K.batch_rank(perms, 3, state)
+        with pytest.raises(ValueError, match="another batch"):
+            K.batch_rank(K.batch_unrank(n, ranks), 5, state)
+
+    def test_refuses_ranks_beyond_int64(self):
+        with pytest.raises(ValueError, match="n <= 20"):
+            K.FlipRanks(21, 1)
+        with pytest.raises(ValueError, match="n <= 16"):
+            K.FlipRanks(17, 1, signed=True)
 
 
 class TestBitsets:

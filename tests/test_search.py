@@ -4,6 +4,7 @@
 # loaded here, its module objects are not counted in their traced peaks
 import concurrent.futures  # noqa: F401
 import random
+import threading
 import tracemalloc
 
 import numpy as np
@@ -156,6 +157,43 @@ class TestLayerProfile:
             for workers in (2, 3, 4, 7):
                 assert layer_profile(graph(kind, n), workers=workers) == baseline
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind,n", [(PLAIN, 6), (BURNT, 4)])
+    def test_kernel_work_matches_the_graph(self, monkeypatch, kind, n, workers):
+        # as perfbench counts it: each vertex unranked once, each of its
+        # neighbors ranked once and tested once; a family's calls made from
+        # inside another of its calls (batch_sunrank -> batch_unrank) are not
+        # counted again
+        rows = {"unrank": 0, "rank": 0, "test": 0}
+        lock = threading.Lock()
+        inside = threading.local()
+
+        def counting(family, kernel, batch):
+            def call(*args, **kwargs):
+                if getattr(inside, family, False):
+                    return kernel(*args, **kwargs)
+                setattr(inside, family, True)
+                try:
+                    return kernel(*args, **kwargs)
+                finally:
+                    setattr(inside, family, False)
+                    with lock:
+                        rows[family] += args[batch].shape[0]
+
+            return call
+
+        for name, family, batch in [
+            ("batch_unrank", "unrank", 1),
+            ("batch_sunrank", "unrank", 1),
+            ("batch_rank", "rank", 0),
+            ("batch_srank", "rank", 0),
+            ("bitset_test", "test", 1),
+        ]:
+            monkeypatch.setattr(_kernels, name, counting(family, getattr(_kernels, name), batch))
+        g = graph(kind, n)
+        assert layer_profile(g, workers=workers).complete
+        assert rows == {"unrank": g.size, "rank": g.degree * g.size, "test": g.degree * g.size}
+
     def test_profile_accessors(self):
         p = layer_profile(graph(PLAIN, 4))
         assert p.depth == 4
@@ -200,6 +238,25 @@ class TestMemoryAccounting:
         finally:
             tracemalloc.stop()
         assert peak <= required_memory(g, workers=workers)
+
+    @pytest.mark.parametrize("kind,n", BITSET_GRAPHS)
+    def test_chunk_charge_covers_a_pass_of_the_expansion_loop(self, kind, n):
+        # 2**18 ranks go through one FlipRanks chunk by chunk; nothing is seen,
+        # so np.compress keeps every neighbor, its widest result
+        g = graph(kind, n)
+        ranks = np.sort(np.random.default_rng(n).integers(0, g.size, size=1 << 18))
+        visited, cand = _kernels.bitset_alloc(g.size), _kernels.bitset_alloc(g.size)
+
+        def seen(r):
+            return _kernels.bitset_test(visited, r)
+
+        def one_pass():
+            for fresh in search._fresh_neighbors(g, ranks, seen):
+                _kernels.bitset_set(cand, fresh)
+                del fresh
+
+        assert traced_peak(one_pass) <= search._chunk_bytes(g, search._CHUNK)
+        assert _kernels.bitset_popcount(cand) > 0
 
     @pytest.fixture(scope="class")
     def last_layer_vertex(self, tmp_path_factory):
