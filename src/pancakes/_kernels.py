@@ -52,7 +52,14 @@ entries on NumPy 2.4:
   uint8 one, about twice as fast;
 - ranks are compacted with ``np.compress``, not boolean-mask indexing
   (the search's fresh ranks and the ball engine's layers), 2 to 3.5 times
-  faster, and gathered with ``np.take``, not fancy indexing.
+  faster, and gathered with ``np.take``, not fancy indexing;
+- bits are set with ``np.add.at``, whose indexed loop takes 2.2 ns per
+  rank against 10.6 ns for ``np.bitwise_or.at``. Adding bits not yet set
+  is an OR only while no rank comes twice, so :func:`bitset_add` takes
+  ranks that do not repeat, such as one flip (a bijection) of distinct
+  ranks, the search's fresh neighbors; :func:`bitset_set` takes any ranks;
+- set bits are found with ``np.flatnonzero`` on a bool view of the
+  unpacked 0/1 bytes, 0.9 ns per byte against 6.9 ns on the uint8 bytes.
 
 Ranks must fit in int64: n! < 2**63 holds for plain n <= 20 and
 n! * 2**n < 2**63 for signed n <= 16, the limits :data:`MAX_RANK_N` and
@@ -60,8 +67,8 @@ n! * 2**n < 2**63 for signed n <= 16, the limits :data:`MAX_RANK_N` and
 the kernels raise ValueError instead of wrapping around.
 
 Bitsets are flat uint64 arrays with bit ``b`` of word ``w`` addressing rank
-``64*w + b``. :func:`bitset_set`, :func:`bitset_test` and
-:func:`bitset_extract_ranks` work on them through a uint8 view, where rank
+``64*w + b``. :func:`bitset_set`, :func:`bitset_add`, :func:`bitset_test`
+and :func:`bitset_extract_ranks` work on them through a uint8 view, where rank
 ``r`` is bit ``r & 7`` of byte ``r >> 3``; that holds on a little-endian
 host only, the same ``<u8`` layout a checkpoint file stores, so importing
 this module elsewhere fails.
@@ -90,6 +97,7 @@ __all__ = [
     "batch_signed_flip",
     "bitset_alloc",
     "bitset_set",
+    "bitset_add",
     "bitset_test",
     "bitset_extract_ranks",
     "bitset_popcount",
@@ -419,6 +427,24 @@ def bitset_set(words: np.ndarray, ranks: np.ndarray) -> None:
     np.bitwise_or.at(words.view(np.uint8), ranks >> 3, bits)
 
 
+def bitset_add(words: np.ndarray, ranks: np.ndarray) -> None:
+    """Set the given bits; no rank may appear twice in ``ranks``.
+
+    The bits already set are dropped, so adding each rank's bit to its byte
+    ORs it in; a rank given twice would carry into the next bit.
+    """
+    view = words.view(np.uint8)
+    index = ranks >> 3
+    bits = ranks.astype(np.uint8)  # keeps the low bits
+    bits &= 7
+    np.left_shift(1, bits, out=bits)
+    held = np.take(view, index)
+    held &= bits
+    bits ^= held
+    del held
+    np.add.at(view, index, bits)
+
+
 def bitset_test(words: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """Boolean array: is each rank's bit set?"""
     bits = np.take(words.view(np.uint8), ranks >> 3)
@@ -440,7 +466,8 @@ def bitset_extract_ranks(words: np.ndarray, word_offset: int = 0) -> np.ndarray:
         index = np.flatnonzero(words)
         words = words[index]
     bits = np.unpackbits(words.view(np.uint8), bitorder="little")
-    ranks = np.flatnonzero(bits).astype(np.int64, copy=False)
+    # the unpacked bytes are 0 or 1: a bool view takes the fast loop
+    ranks = np.flatnonzero(bits.view(np.bool_)).astype(np.int64, copy=False)
     del bits
     if sparse:
         # the j-th nonzero word is word index[j]: 64 * (index[j] - j) further on

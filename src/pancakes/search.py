@@ -145,9 +145,16 @@ def _chunk_bytes(graph: PancakeGraph, ranks: int) -> int:
     # two wide and two uint16 remainders and digits; dropping seen neighbors
     # at most 18 (the bitset test's int64 byte offsets and two byte arrays,
     # np.compress's int64 index and fresh ranks, or the ball engine's int64
-    # positions and looked-up ranks). The last 2 bytes cover NumPy's casting
-    # buffers of np.getbufsize() elements in a full chunk
+    # positions and looked-up ranks); setting fresh bits at most 18 (the
+    # int64 fresh ranks, and bitset_add's int64 byte offsets, bits and held
+    # bytes). The last 2 bytes cover NumPy's casting buffers of
+    # np.getbufsize() elements in a full chunk
     return min(_CHUNK, ranks) * (2 * graph.n + 48)
+
+
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
 
 def required_memory(
@@ -163,7 +170,9 @@ def required_memory(
     mod 3, enough to find a vertex's layer. No search here keeps them (the
     queries :func:`distance` and :func:`sort_sequence` hold no bitsets at
     all); the term is for callers that budget a layer map of their own.
+    ``workers`` below 1 raises ValueError.
     """
+    _check_workers(workers)
     size = graph.size
     nwords = (size + 63) // 64
     # visited + the frontier being expanded + one candidate bitset per worker
@@ -260,7 +269,8 @@ def _expand_span(
         ranks = K.bitset_extract_ranks(span, word_offset=block)
         for fresh in _fresh_neighbors(graph, ranks, lambda r: K.bitset_test(visited, r)):
             if fresh.size:
-                K.bitset_set(cand, fresh)
+                # one flip of distinct ranks: no rank repeats
+                K.bitset_add(cand, fresh)
             del fresh
         del ranks  # before the next block is extracted
     return cand
@@ -462,9 +472,10 @@ def layer_profile(
     :func:`required_memory` at one worker, whatever ``workers`` is; it then
     refuses before any layer whose expansion would exceed the memory limit.
     Ranks are int64, so graphs beyond the kernels' limits (``MAX_RANK_N``
-    plain, ``MAX_SRANK_N`` burnt, in :mod:`pancakes._kernels`) and a
-    negative ``max_layer`` raise ValueError.
+    plain, ``MAX_SRANK_N`` burnt, in :mod:`pancakes._kernels`), ``workers``
+    below 1 and a negative ``max_layer`` raise ValueError.
     """
+    _check_workers(workers)
     _check_max_layer(max_layer)
     _check_rank_width(graph)
     if (
@@ -500,8 +511,10 @@ def resume(
     The final profile is identical to an uninterrupted run. ``max_layer`` cuts
     the profile to layers 0..max_layer even when the checkpoint holds more.
     ``expect`` guards against resuming a checkpoint for a different graph.
-    A negative ``max_layer`` raises ValueError before the file is read.
+    ``workers`` below 1 and a negative ``max_layer`` raise ValueError
+    before the file is read.
     """
+    _check_workers(workers)
     _check_max_layer(max_layer)
     # decide from the header and a block-wise scan of the frontier whether a
     # search will run, and refuse an oversized one before any bit array is

@@ -376,6 +376,57 @@ class TestBitsets:
         word_formula(expected, ranks)
         assert np.array_equal(got, expected)
 
+    @staticmethod
+    def assert_add_matches_set(words, ranks):
+        """bitset_add of distinct ``ranks`` onto ``words`` equals bitset_set."""
+        ranks = np.asarray(ranks, dtype=np.int64)
+        got, expected = words.copy(), words.copy()
+        K.bitset_add(got, ranks)
+        K.bitset_set(expected, ranks)
+        assert np.array_equal(got, expected)
+
+    def test_add_matches_set_on_every_bit_of_a_word(self):
+        # each bit position of the first, a middle and the last word, alone
+        # onto empty words and onto full ones (already set: adds nothing),
+        # and all of them at once
+        ranks = [64 * w + b for w in (0, 50, 100) for b in range(64)]
+        empty = K.bitset_alloc(101 * 64)
+        full = np.full_like(empty, np.uint64(2**64 - 1))
+        for r in ranks:
+            self.assert_add_matches_set(empty, [r])
+            self.assert_add_matches_set(full, [r])
+        self.assert_add_matches_set(empty, ranks)
+
+    def test_add_matches_set_on_partly_set_words(self):
+        rng = np.random.default_rng(53)
+        words = rng.integers(0, 2**64, size=101, dtype=np.uint64)
+        words[::3] = 0
+        ranks = rng.permutation(101 * 64)[:3000]
+        self.assert_add_matches_set(words, ranks)
+        # every rank already set: the words stay as they are
+        held = K.bitset_extract_ranks(words)
+        got = words.copy()
+        K.bitset_add(got, rng.permutation(held))
+        assert np.array_equal(got, words)
+
+    def test_add_of_no_rank_and_of_one(self):
+        words = np.random.default_rng(59).integers(0, 2**64, size=4, dtype=np.uint64)
+        self.assert_add_matches_set(words, [])
+        for r in (0, 77, 4 * 64 - 1):
+            self.assert_add_matches_set(words, [r])
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_add_matches_set_across_a_byte_boundary(self, data):
+        # a few bits on either side of each byte boundary of two words,
+        # drawn distinct, onto words with some bits already set
+        nbits = data.draw(st.sampled_from([1, 7, 8, 9, 16, 17, 64, 65, 128]))
+        ranks = data.draw(st.lists(st.integers(0, nbits - 1), max_size=nbits, unique=True))
+        held = data.draw(st.lists(st.integers(0, nbits - 1), max_size=nbits))
+        words = K.bitset_alloc(nbits)
+        K.bitset_set(words, np.array(held, dtype=np.int64))
+        self.assert_add_matches_set(words, ranks)
+
     def test_duplicate_sets_idempotent(self):
         words = K.bitset_alloc(128)
         K.bitset_set(words, np.array([5, 5, 5, 70], dtype=np.int64))

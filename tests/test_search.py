@@ -194,6 +194,31 @@ class TestLayerProfile:
         assert layer_profile(g, workers=workers).complete
         assert rows == {"unrank": g.size, "rank": g.degree * g.size, "test": g.degree * g.size}
 
+    @pytest.mark.parametrize(
+        "kind,n", [(PLAIN, n) for n in range(1, 8)] + [(BURNT, n) for n in range(1, 6)]
+    )
+    def test_no_fresh_array_repeats_a_rank(self, monkeypatch, kind, n):
+        # _expand_span sets each array with bitset_add, which takes no rank
+        # twice; chunks of 5 ranks put chunk boundaries inside every layer
+        # of more than 5 vertices
+        monkeypatch.setattr(search, "_CHUNK", 5)
+        fresh_neighbors = search._fresh_neighbors
+        arrays = 0
+
+        def checked(graph, ranks, seen):
+            nonlocal arrays
+            for fresh in fresh_neighbors(graph, ranks, seen):
+                assert np.unique(fresh).size == fresh.size
+                arrays += 1
+                yield fresh
+
+        monkeypatch.setattr(search, "_fresh_neighbors", checked)
+        g = graph(kind, n)
+        profile = layer_profile(g)
+        assert profile.counts == tuple(naive_layer_counts(n, burnt=kind is BURNT))
+        # one array per flip of each chunk of each layer
+        assert arrays == len(g.flip_indices) * sum(-(-c // 5) for c in profile.counts)
+
     def test_profile_accessors(self):
         p = layer_profile(graph(PLAIN, 4))
         assert p.depth == 4
@@ -252,7 +277,7 @@ class TestMemoryAccounting:
 
         def one_pass():
             for fresh in search._fresh_neighbors(g, ranks, seen):
-                _kernels.bitset_set(cand, fresh)
+                _kernels.bitset_add(cand, fresh)
                 del fresh
 
         assert traced_peak(one_pass) <= search._chunk_bytes(g, search._CHUNK)
@@ -540,6 +565,27 @@ class TestCheckpointing:
         with pytest.raises(ValueError, match="max_layer"):
             resume(tmp_path / "missing.ckpt", max_layer=-1)
         assert path.read_bytes() == before
+
+    def test_workers_below_one_are_refused(self, tmp_path):
+        # a search charged for no worker's buffers would still run on one
+        g = graph(PLAIN, 9)
+        path = tmp_path / "p5.ckpt"
+        layer_profile(graph(PLAIN, 5), max_layer=2, checkpoint_path=path)
+        before = path.read_bytes()
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match="workers"):
+                required_memory(g, workers=workers)
+            for kwargs in ({}, {"max_layer": 2}, {"checkpoint_path": tmp_path / "new.ckpt"}):
+                with pytest.raises(ValueError, match="workers"):
+                    layer_profile(g, workers=workers, memory_limit=1 << 30, **kwargs)
+            with pytest.raises(ValueError, match="workers"):
+                resume(path, workers=workers)
+            # refused before any file is written or read
+            with pytest.raises(ValueError, match="workers"):
+                resume(tmp_path / "missing.ckpt", workers=workers)
+        assert not (tmp_path / "new.ckpt").exists()
+        assert path.read_bytes() == before
+        assert resume(path) == layer_profile(graph(PLAIN, 5))
 
     def test_resume_with_workers(self, tmp_path):
         direct = layer_profile(graph(PLAIN, 6))
