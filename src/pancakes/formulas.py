@@ -4,9 +4,11 @@ Every known closed form for R_k(n) (permutations at pancake distance k) and
 R_k^B(n) (signed variant) is registered as a :class:`FormulaSpec`: an exact
 rational-coefficient polynomial stored as integer coefficients over a single
 integer denominator, a validity threshold ``min_n``, and explicit exceptional
-values for the isolated n the polynomial does not cover. All arithmetic is
-exact integer arithmetic; a division that does not come out exact is a hard
-error (it would mean a transcribed coefficient is wrong), never rounding.
+values for the isolated n the polynomial does not cover. The registry
+evaluates each published factored form at n = 0..k+2, fits it by forward
+differences and expands the fit in powers of n. All arithmetic is exact; a
+division that does not come out exact is a hard error (it would mean a
+transcribed coefficient is wrong), never rounding.
 
 Beyond evaluation and crosschecking against BFS output, the module checks two
 summation identities on tabulated data and fits integer-valued polynomials to
@@ -20,7 +22,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .graphs import GraphKind
 from .search import LayerProfile
@@ -104,65 +106,6 @@ def _exact_div(numerator: int, denominator: int, what: str) -> int:
     return quotient
 
 
-class _P:
-    """Internal polynomial with Fraction coefficients (ascending powers).
-
-    Registered formulas are written below in their published factored form
-    and expanded symbolically here, so no hand-expanded coefficient can be
-    mistranscribed.
-    """
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs: Sequence) -> None:
-        c = [Fraction(x) for x in coeffs]
-        while len(c) > 1 and c[-1] == 0:
-            c.pop()
-        self.c = tuple(c)
-
-    def __add__(self, other):
-        other = other if isinstance(other, _P) else _P((other,))
-        a, b = self.c, other.c
-        if len(a) < len(b):
-            a, b = b, a
-        return _P([x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _P([-x for x in self.c])
-
-    def __sub__(self, other):
-        return self + (-(other if isinstance(other, _P) else _P((other,))))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = other if isinstance(other, _P) else _P((other,))
-        out = [Fraction(0)] * (len(self.c) + len(other.c) - 1)
-        for i, x in enumerate(self.c):
-            for j, y in enumerate(other.c):
-                out[i + j] += x * y
-        return _P(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        out = _P((1,))
-        for _ in range(exponent):
-            out = out * self
-        return out
-
-    def as_int_over_den(self) -> tuple[tuple[int, ...], int]:
-        """(integer coefficients ascending, single positive denominator)."""
-        den = math.lcm(*(x.denominator for x in self.c))
-        return tuple(int(x * den) for x in self.c), den
-
-
-_N = _P((0, 1))  # the polynomial "n"
-
-
 @dataclass(frozen=True, slots=True)
 class FormulaSpec:
     """One registered closed form for a layer count.
@@ -200,16 +143,34 @@ class FormulaSpec:
         return _exact_div(acc, self.denominator, self.name)
 
 
-def _spec(name, k, kind, status, min_n, poly, exceptions=None, cumulative=False):
-    coeffs, den = poly.as_int_over_den()
+def _spec(name, k, kind, status, min_n, form, exceptions=None, cumulative=False):
+    # fit the form exactly at n = 0..k+2, then write each c_m * C(n, m) as
+    # c_m * (k!/m!) * n(n-1)...(n-m+1) over k! and reduce by the gcd
+    values = [Fraction(form(n)) for n in range(k + 3)]
+    if any(value.denominator != 1 for value in values):
+        raise ArithmeticError(f"{name}: the registered form is not integer-valued")
+    try:
+        newton = fit_newton(enumerate(map(int, values)))
+    except FitError:
+        newton = None
+    if newton is None or newton.degree != k:
+        raise ArithmeticError(f"{name}: the registered form is not of degree {k}")
+    den = math.factorial(k)
+    coeffs = [0] * (k + 1)
+    falling = [1]  # n(n-1)...(n-m+1) in ascending powers
+    for m, c in enumerate(newton.coefficients):
+        for i, a in enumerate(falling):
+            coeffs[i] += c * (den // math.factorial(m)) * a
+        falling = [a - m * b for a, b in zip([0, *falling], [*falling, 0])]
+    g = math.gcd(den, *coeffs)
     return FormulaSpec(
         name=name,
         k=k,
         kind=kind,
         status=status,
         min_n=min_n,
-        coefficients=coeffs,
-        denominator=den,
+        coefficients=tuple(c // g for c in coeffs),
+        denominator=den // g,
         exceptions=dict(exceptions or {}),
         cumulative=cumulative,
     )
@@ -219,84 +180,84 @@ _PROVED = FormulaStatus.PROVED
 _CONJ = FormulaStatus.CONJECTURED
 _EXT = FormulaStatus.PUBLISHED_ELSEWHERE
 
-_PLAIN_LAYER_POLYS = {
-    0: _P((1,)),
-    1: _N - 1,
-    2: (_N - 1) * (_N - 2),
-    3: (_N - 1) * (_N - 2) ** 2 - 1,
-    4: Fraction(1, 2) * (2 * _N**4 - 15 * _N**3 + 29 * _N**2 + 6 * _N - 34),
-    5: Fraction(1, 6)
-    * (6 * _N**5 - 65 * _N**4 + 173 * _N**3 + 296 * _N**2 - 1724 * _N + 1590),
-    6: Fraction(1, 60)
+_PLAIN_LAYER_FORMS = {
+    0: lambda n: 1,
+    1: lambda n: n - 1,
+    2: lambda n: (n - 1) * (n - 2),
+    3: lambda n: (n - 1) * (n - 2) ** 2 - 1,
+    4: lambda n: Fraction(1, 2) * (2 * n**4 - 15 * n**3 + 29 * n**2 + 6 * n - 34),
+    5: lambda n: Fraction(1, 6)
+    * (6 * n**5 - 65 * n**4 + 173 * n**3 + 296 * n**2 - 1724 * n + 1590),
+    6: lambda n: Fraction(1, 60)
     * (
-        60 * _N**6
-        - 883 * _N**5
-        + 3140 * _N**4
-        + 10775 * _N**3
-        - 91400 * _N**2
-        + 171068 * _N
+        60 * n**6
+        - 883 * n**5
+        + 3140 * n**4
+        + 10775 * n**3
+        - 91400 * n**2
+        + 171068 * n
         - 58020
     ),
-    7: Fraction(1, 240)
+    7: lambda n: Fraction(1, 240)
     * (
-        240 * _N**7
-        - 4619 * _N**6
-        + 21881 * _N**5
-        + 109275 * _N**4
-        - 1372445 * _N**3
-        + 4476344 * _N**2
-        - 4550196 * _N
+        240 * n**7
+        - 4619 * n**6
+        + 21881 * n**5
+        + 109275 * n**4
+        - 1372445 * n**3
+        + 4476344 * n**2
+        - 4550196 * n
         - 850320
     ),
-    8: Fraction(1, 5040)
+    8: lambda n: Fraction(1, 5040)
     * (
-        5040 * _N**8
-        - 122683 * _N**7
-        + 759857 * _N**6
-        + 4519067 * _N**5
-        - 79101715 * _N**4
-        + 364661948 * _N**3
-        - 561161062 * _N**2
-        - 267373812 * _N
+        5040 * n**8
+        - 122683 * n**7
+        + 759857 * n**6
+        + 4519067 * n**5
+        - 79101715 * n**4
+        + 364661948 * n**3
+        - 561161062 * n**2
+        - 267373812 * n
         + 844945920
     ),
 }
 
-_BURNT_LAYER_POLYS = {
-    0: _P((1,)),
-    1: _N,
-    2: _N * (_N - 1),
-    3: _N * (_N - 1) ** 2,
-    4: Fraction(1, 2) * _N * (_N - 1) ** 2 * (2 * _N - 3),
-    5: Fraction(1, 6) * _N * (_N - 1) * (_N - 2) * (6 * _N**2 - 17 * _N + 3),
-    6: Fraction(1, 60)
-    * _N
-    * (_N - 1)
-    * (_N - 2)
-    * (60 * _N**3 - 343 * _N**2 + 401 * _N + 284),
-    7: Fraction(1, 240)
-    * _N
-    * (_N - 1)
-    * (_N - 2)
-    * (_N - 3)
-    * (240 * _N**3 - 1499 * _N**2 + 925 * _N + 5104),
-    8: Fraction(1, 5040)
-    * _N
-    * (_N - 1)
-    * (_N - 2)
-    * (_N - 3)
-    * (5040 * _N**4 - 52123 * _N**3 + 113415 * _N**2 + 314716 * _N - 1027242),
-    9: Fraction(1, 40320)
-    * (_N - 1)
-    * (_N - 2)
-    * (_N - 3)
-    * (_N - 4)
+_BURNT_LAYER_FORMS = {
+    0: lambda n: 1,
+    1: lambda n: n,
+    2: lambda n: n * (n - 1),
+    3: lambda n: n * (n - 1) ** 2,
+    4: lambda n: Fraction(1, 2) * n * (n - 1) ** 2 * (2 * n - 3),
+    5: lambda n: Fraction(1, 6) * n * (n - 1) * (n - 2) * (6 * n**2 - 17 * n + 3),
+    6: lambda n: Fraction(1, 60)
+    * n
+    * (n - 1)
+    * (n - 2)
+    * (60 * n**3 - 343 * n**2 + 401 * n + 284),
+    7: lambda n: Fraction(1, 240)
+    * n
+    * (n - 1)
+    * (n - 2)
+    * (n - 3)
+    * (240 * n**3 - 1499 * n**2 + 925 * n + 5104),
+    8: lambda n: Fraction(1, 5040)
+    * n
+    * (n - 1)
+    * (n - 2)
+    * (n - 3)
+    * (5040 * n**4 - 52123 * n**3 + 113415 * n**2 + 314716 * n - 1027242),
+    9: lambda n: Fraction(1, 40320)
+    * (n - 1)
+    * (n - 2)
+    * (n - 3)
+    * (n - 4)
     * (
-        40320 * _N**5
-        - 444061 * _N**4
-        + 644746 * _N**3
-        + 6638777 * _N**2
-        - 18991470 * _N
+        40320 * n**5
+        - 444061 * n**4
+        + 644746 * n**3
+        + 6638777 * n**2
+        - 18991470 * n
     ),
 }
 
@@ -308,44 +269,7 @@ _PLAIN_MIN_N = {0: 1, 1: 1, 2: 3, 3: 3, 4: 4, 5: 5, 6: 6, 7: 8, 8: 10}
 _PLAIN_EXCEPTIONS = {7: {6: 2, 7: 1016}, 8: {7: 35, 8: 8520, 9: 132697}}
 _PLAIN_STATUS = {k: (_PROVED if k <= 4 else _EXT) for k in range(9)}
 
-_REGISTRY: dict[str, FormulaSpec] = {}
-
-for _k in range(9):
-    _REGISTRY[f"r{_k}-plain"] = _spec(
-        f"r{_k}-plain",
-        _k,
-        GraphKind.PLAIN,
-        _PLAIN_STATUS[_k],
-        _PLAIN_MIN_N[_k],
-        _PLAIN_LAYER_POLYS[_k],
-        _PLAIN_EXCEPTIONS.get(_k),
-    )
-
-for _k in range(10):
-    _REGISTRY[f"r{_k}-burnt"] = _spec(
-        f"r{_k}-burnt",
-        _k,
-        GraphKind.BURNT,
-        _PROVED if _k <= 4 else _CONJ,
-        1,
-        _BURNT_LAYER_POLYS[_k],
-    )
-
-# Cumulative counts within distance k: the form the external enumeration
-# algorithm outputs. Valid once every summand's polynomial is valid.
-for _k, _min_n in ((5, 5), (6, 6), (7, 8), (8, 10)):
-    _cum = _P((0,))
-    for _i in range(_k + 1):
-        _cum = _cum + _PLAIN_LAYER_POLYS[_i]
-    _REGISTRY[f"rtilde{_k}-plain"] = _spec(
-        f"rtilde{_k}-plain",
-        _k,
-        GraphKind.PLAIN,
-        _EXT,
-        _min_n,
-        _cum,
-        cumulative=True,
-    )
+_REGISTRY: dict[str, FormulaSpec] = {}  # filled at the end of the module
 
 
 def _normalize(name: str) -> str:
@@ -553,8 +477,9 @@ def check_gregory_newton_con63(
 
         R_k^B(n) = sum_{j=1}^k ( sum_{i=0}^{k-j} (-1)^i C(i+j, i) C(n, i+j) ) R_k^B(j)
 
-    Missing base values R_k^B(1..k), or a missing target cell, yield
-    INSUFFICIENT.
+    The right-hand side is the Newton form through the points
+    (0, 0), (1, R_k^B(1)), ..., (k, R_k^B(k)). Missing base values
+    R_k^B(1..k), or a missing target cell, yield INSUFFICIENT.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got k={k}")
@@ -567,7 +492,7 @@ def check_gregory_newton_con63(
     lhs = table.get((k, n))
     if lhs is None:
         return report(Verdict.INSUFFICIENT, reason=f"R_{k}^B({n}) is not tabulated")
-    rhs = 0
+    bases = [0]
     for j in range(1, k + 1):
         base = table.get((k, j))
         if base is None:
@@ -576,12 +501,20 @@ def check_gregory_newton_con63(
                 lhs,
                 reason=f"base value R_{k}^B({j}) is not tabulated",
             )
-        coefficient = sum(
-            (-1) ** i * math.comb(i + j, i) * math.comb(n, i + j)
-            for i in range(k - j + 1)
-        )
-        rhs += coefficient * base
+        bases.append(base)
+    rhs = NewtonPoly(0, _differences(bases))(n)
     return report(Verdict.HOLDS if lhs == rhs else Verdict.FAILS, lhs, rhs)
+
+
+def _differences(values: Sequence[int]) -> tuple[int, ...]:
+    """Leading entry of each forward-difference row of ``values``: for values
+    at n_0, n_0 + 1, ... the binomial-basis coefficients of their polynomial."""
+    row = list(values)
+    leading = []
+    while row:
+        leading.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return tuple(leading)
 
 
 def _binomial(x: int, m: int) -> int:
@@ -618,10 +551,13 @@ class NewtonPoly:
 def fit_newton(values: Iterable[tuple[int, int]]) -> NewtonPoly:
     """Fit an integer-valued polynomial to data at consecutive n.
 
-    Builds the forward-difference table; the degree is the first order whose
-    differences are constant across all supplied points (witnessed by at
-    least two entries). The binomial-basis coefficients are the leading
-    entries of the difference rows — no linear algebra and no floats.
+    The binomial-basis coefficients are the leading entries of the
+    forward-difference rows — no linear algebra and no floats. The degree is
+    the last nonzero one; a zero after it witnesses the fit, as its row and
+    every row below are then all zero.
+
+    >>> fit_newton([(n, n * n) for n in range(4)])
+    NewtonPoly(n0=0, coefficients=(0, 1, 2))
     """
     points = sorted(values)
     if len(points) < 2:
@@ -630,14 +566,47 @@ def fit_newton(values: Iterable[tuple[int, int]]) -> NewtonPoly:
     for a, b in zip(ns, ns[1:]):
         if b != a + 1:
             raise ValueError(f"data points must be at consecutive n; gap at {a}..{b}")
-    row = [v for _, v in points]
-    coefficients = [row[0]]
-    while len(row) >= 2:
-        if len(set(row)) == 1:
-            return NewtonPoly(n0=ns[0], coefficients=tuple(coefficients))
-        row = [b - a for a, b in zip(row, row[1:])]
-        coefficients.append(row[0])
-    raise FitError(
-        f"forward differences never stabilize within {len(points)} points; "
-        "more data or no polynomial"
+    coefficients = _differences([v for _, v in points])
+    degree = max((m for m, c in enumerate(coefficients) if c), default=0)
+    if degree + 1 == len(coefficients):
+        raise FitError(
+            f"forward differences never stabilize within {len(points)} points; "
+            "more data or no polynomial"
+        )
+    return NewtonPoly(n0=ns[0], coefficients=coefficients[: degree + 1])
+
+
+# The registry is built here, below fit_newton, which _spec calls.
+for _k in range(9):
+    _REGISTRY[f"r{_k}-plain"] = _spec(
+        f"r{_k}-plain",
+        _k,
+        GraphKind.PLAIN,
+        _PLAIN_STATUS[_k],
+        _PLAIN_MIN_N[_k],
+        _PLAIN_LAYER_FORMS[_k],
+        _PLAIN_EXCEPTIONS.get(_k),
+    )
+
+for _k in range(10):
+    _REGISTRY[f"r{_k}-burnt"] = _spec(
+        f"r{_k}-burnt",
+        _k,
+        GraphKind.BURNT,
+        _PROVED if _k <= 4 else _CONJ,
+        1,
+        _BURNT_LAYER_FORMS[_k],
+    )
+
+# Cumulative counts within distance k: the form the external enumeration
+# algorithm outputs. Valid once every summand's polynomial is valid.
+for _k, _min_n in ((5, 5), (6, 6), (7, 8), (8, 10)):
+    _REGISTRY[f"rtilde{_k}-plain"] = _spec(
+        f"rtilde{_k}-plain",
+        _k,
+        GraphKind.PLAIN,
+        _EXT,
+        _min_n,
+        lambda n, k=_k: sum(_PLAIN_LAYER_FORMS[i](n) for i in range(k + 1)),
+        cumulative=True,
     )

@@ -3,21 +3,32 @@
 Everything here is deliberately written with a different algorithm than the
 package under test: function-composition flips, sort-and-index ranks,
 hash-set BFS over tuples, and label-product cycle enumeration. Slow but
-obviously correct at the small sizes the tests use. The two exceptions are
-the package's own earlier algorithms, kept to check that their replacements
+obviously correct at the small sizes the tests use. The exceptions are the
+package's own earlier algorithms, kept to check that their replacements
 return exactly the same results: ``dfs_cycles_reference``, the depth-L cycle
-enumeration, and ``bfs_walk_reference``, the bitset-BFS distance query.
+enumeration, ``bfs_walk_reference``, the bitset-BFS distance query, and
+``con63_rhs_reference`` and ``fit_newton_reference``, the binomial double
+sum and the difference loop of the formula checks.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from pancakes import _kernels as K
 from pancakes.cycles import Cycle, _flip_burnt, _flip_plain, canonicalize
+from pancakes.formulas import (
+    FitError,
+    IdentityReport,
+    NewtonPoly,
+    Verdict,
+    published_cells,
+)
 from pancakes.graphs import GraphKind, PancakeGraph
 from pancakes.perms import Perm, SignedPerm, rank, srank
 from pancakes.search import _layers, _start
@@ -282,6 +293,71 @@ def bfs_walk_reference(graph: PancakeGraph, target: Perm | SignedPerm) -> tuple[
         else:
             raise AssertionError("no descending neighbor; layer residues inconsistent")
     return tuple(sequence)
+
+
+# ---------------------------------------------------------------------------
+# Gregory–Newton forms by the hand-written sums the formula checks ran before
+# they shared one forward-difference routine
+
+def con63_rhs_reference(
+    k: int, n: int, table: Mapping[tuple[int, int], int] | None = None
+) -> IdentityReport:
+    """``check_gregory_newton_con63`` with its right-hand side summed as
+
+        sum_{j=1}^k ( sum_{i=0}^{k-j} (-1)^i C(i+j, i) C(n, i+j) ) R_k^B(j),
+
+    kept verbatim, so its reports can be compared with the Newton form's.
+    """
+    if k < 1:
+        raise ValueError(f"k must be positive, got k={k}")
+    if table is None:
+        table = published_cells(GraphKind.BURNT)
+
+    def report(verdict, lhs=None, rhs=None, reason=""):
+        return IdentityReport("con63", k, n, verdict, lhs, rhs, reason)
+
+    lhs = table.get((k, n))
+    if lhs is None:
+        return report(Verdict.INSUFFICIENT, reason=f"R_{k}^B({n}) is not tabulated")
+    rhs = 0
+    for j in range(1, k + 1):
+        base = table.get((k, j))
+        if base is None:
+            return report(
+                Verdict.INSUFFICIENT,
+                lhs,
+                reason=f"base value R_{k}^B({j}) is not tabulated",
+            )
+        coefficient = sum(
+            (-1) ** i * math.comb(i + j, i) * math.comb(n, i + j)
+            for i in range(k - j + 1)
+        )
+        rhs += coefficient * base
+    return report(Verdict.HOLDS if lhs == rhs else Verdict.FAILS, lhs, rhs)
+
+
+def fit_newton_reference(values: Iterable[tuple[int, int]]) -> NewtonPoly:
+    """``fit_newton`` by its own difference loop, kept verbatim: the degree
+    is the first order whose differences are constant across all supplied
+    points (witnessed by at least two entries)."""
+    points = sorted(values)
+    if len(points) < 2:
+        raise ValueError("need at least two data points to fit")
+    ns = [n for n, _ in points]
+    for a, b in zip(ns, ns[1:]):
+        if b != a + 1:
+            raise ValueError(f"data points must be at consecutive n; gap at {a}..{b}")
+    row = [v for _, v in points]
+    coefficients = [row[0]]
+    while len(row) >= 2:
+        if len(set(row)) == 1:
+            return NewtonPoly(n0=ns[0], coefficients=tuple(coefficients))
+        row = [b - a for a, b in zip(row, row[1:])]
+        coefficients.append(row[0])
+    raise FitError(
+        f"forward differences never stabilize within {len(points)} points; "
+        "more data or no polynomial"
+    )
 
 
 # ---------------------------------------------------------------------------

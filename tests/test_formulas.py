@@ -24,9 +24,12 @@ from pancakes.formulas import (
     get_formula,
     published_cells,
 )
+from pancakes.formulas import _spec
 from pancakes.graphs import GraphKind, PancakeGraph
 from pancakes.search import LayerProfile, layer_profile
 from pancakes.tables import BURNT_COUNTS, PLAIN_COUNTS, known_counts
+
+from oracles import con63_rhs_reference, fit_newton_reference
 
 PLAIN = GraphKind.PLAIN
 BURNT = GraphKind.BURNT
@@ -79,6 +82,31 @@ class TestRegistry:
     def test_kinds(self):
         assert get_formula("r4-plain").kind is PLAIN
         assert get_formula("r4-burnt").kind is BURNT
+
+    def test_published_expansions(self):
+        # ascending powers over the one reduced denominator
+        spec = get_formula("r4-plain")
+        assert (spec.coefficients, spec.denominator) == ((-34, 6, 29, -15, 2), 2)
+        spec = get_formula("r8-plain")
+        assert spec.coefficients == (
+            844945920, -267373812, -561161062, 364661948, -79101715,
+            4519067, 759857, -122683, 5040,
+        )
+        assert spec.denominator == 5040
+        spec = get_formula("r4-burnt")
+        assert (spec.coefficients, spec.denominator) == ((0, -3, 8, -7, 2), 2)
+
+    @pytest.mark.parametrize(
+        "form, what",
+        [
+            (lambda n: Fraction(n, 2), "integer-valued"),
+            (lambda n: n * n, "degree 1"),
+            (lambda n: n**3, "degree 1"),  # too steep for any fit at n = 0..3
+        ],
+    )
+    def test_registry_guard_names_the_formula(self, form, what):
+        with pytest.raises(ArithmeticError, match=f"bad-form: .*{what}"):
+            _spec("bad-form", 1, PLAIN, FormulaStatus.PROVED, 1, form)
 
 
 class TestEval:
@@ -439,3 +467,52 @@ class TestFitNewton:
     def test_binomial_evaluation_matches_comb(self, x, m):
         poly = NewtonPoly(n0=0, coefficients=(0,) * m + (1,))
         assert poly(x) == math.comb(x, m)
+
+
+def burnt_tables():
+    """The published signed cells and two perturbations of them: every cell
+    shifted by a small amount, and the shifted cells less a fifth of them."""
+    table = published_cells(BURNT)
+    shifted = {(k, n): v + (3 * k + 5 * n) % 7 - 3 for (k, n), v in table.items()}
+    holes = {(k, n): v for (k, n), v in shifted.items() if (k + 2 * n) % 5}
+    return {"published": table, "shifted": shifted, "holes": holes}
+
+
+def outcome(fit, points):
+    try:
+        return fit(points)
+    except ValueError as error:  # FitError included
+        return type(error), str(error)
+
+
+class TestAgainstEarlierSums:
+    """The Newton forms against the hand-written sums they replaced."""
+
+    @pytest.mark.parametrize("which", ["published", "shifted", "holes"])
+    def test_con63_reports_equal_the_double_sum(self, which):
+        table = burnt_tables()[which]
+        verdicts = set()
+        for k in range(1, 13):
+            for n in range(30):
+                report = check_gregory_newton_con63(k, n, table)
+                assert report == con63_rhs_reference(k, n, table), (k, n)
+                verdicts.add(report.verdict)
+        expected = {Verdict.HOLDS, Verdict.INSUFFICIENT}
+        assert verdicts == (expected if which == "published" else expected | {Verdict.FAILS})
+
+    @given(
+        st.integers(min_value=-30, max_value=30),
+        st.one_of(
+            st.builds(
+                lambda coeffs, length: [
+                    NewtonPoly(0, tuple(coeffs))(n) for n in range(length)
+                ],
+                st.lists(st.integers(min_value=-9, max_value=9), max_size=6),
+                st.integers(min_value=0, max_value=9),
+            ),
+            st.lists(st.integers(min_value=-20, max_value=20), max_size=10),
+        ),
+    )
+    def test_fit_newton_equals_the_difference_loop(self, n0, values):
+        points = [(n0 + i, v) for i, v in enumerate(values)]
+        assert outcome(fit_newton, points) == outcome(fit_newton_reference, points)
