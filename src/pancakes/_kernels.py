@@ -21,6 +21,12 @@ ranking it anew cost O(n^2) per flip. :func:`batch_rank` and
 :func:`batch_srank` with one argument rank a batch whole, through the same
 state: a batch is its reversal flipped whole, a flip that leaves no tail.
 
+Flips ascend, so a caller can stop a row early: the bottom-up search drops
+each row at its first flip that lands in the frontier. Between flips,
+:meth:`FlipRanks.compact` moves the rows left to the front of the batch's
+and the state's own buffers, allocating nothing the size of the batch, and
+the later flips rank only those rows.
+
 Each per-position step runs in the narrowest dtype that holds its values,
 and ranks are widened to int64 once, where a kernel returns. Lehmer ranks
 below n! are held in int32 while n! < 2**31 (n <= 12) and in int64 above
@@ -238,22 +244,62 @@ class FlipRanks:
         place; its signs are read from ``ranks``. Without ``ranks`` only
         flip n of a plain batch can be ranked.
         """
-        m, rows = perms.shape[0], self._rows
         if self.signed:
             np.abs(perms, out=perms)
         # a weak reference: the batch is freed when its caller drops it
         self._batch, self._flip = weakref.ref(perms), 0
+        self._tail = None if ranks is None else self._tail_buf
+        self._fit(perms.shape[0])
+        if ranks is not None:
+            np.copyto(self._tail, ranks, casting="unsafe")  # the ranks fit
+        if self.signed:
+            self._word.fill(0)
+
+    def _fit(self, m: int) -> None:
+        """Point the views of the buffers at their first ``m`` rows."""
+        rows = self._rows
         self._digits = self._digit_buf[:, :m]
         bytes_ = self._group_buf.view(np.uint8)
         self._less, self._count = bytes_[:m], bytes_[rows : rows + m]
         self._group, self._sum, self._out = self._group_buf[:m], self._sum_buf[:m], self._out_buf[:m]
-        self._tail = None
-        if ranks is not None:
+        if self._tail is not None:
             self._tail = self._tail_buf[:m]
-            np.copyto(self._tail, ranks, casting="unsafe")  # the ranks fit
         if self.signed:
             self._word = self._word_buf[:m]
-            self._word.fill(0)
+
+    def _check(self, perms: np.ndarray) -> None:
+        if self._batch is None or self._batch() is not perms:
+            raise ValueError("the state holds another batch; load this one first")
+
+    def compact(self, perms: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Keep only the rows ``index`` (ascending) of the loaded batch ``perms``.
+
+        The kept rows move to the front of the batch's own buffer, and their
+        prefix digits, tail and sign word to the front of the state's, so
+        the later flips rank only them. Nothing is allocated: each position
+        is gathered into the int64 result buffer, free until the next
+        :meth:`rank`, and copied back to the front of its own row. (A take
+        into the row itself would copy the row first, and twice as slowly.)
+        Returns the compacted batch, a view of the buffer of ``perms``,
+        which the later flips take in its place.
+        """
+        self._check(perms)
+        k = index.size
+        cols = perms.T
+        live = [*cols, *self._digits[: self._flip]]
+        if self._tail is not None:
+            live.append(self._tail)
+        if self.signed:
+            live.append(self._word)
+        for row in live:
+            gathered = self._out_buf.view(row.dtype)[:k]
+            # the indices are in range: clip skips the bounds check
+            np.take(row, index, out=gathered, mode="clip")
+            np.copyto(row[:k], gathered)
+        self._fit(k)
+        batch = cols[:, :k].T
+        self._batch = weakref.ref(batch)
+        return batch
 
     def _advance(self, cols: np.ndarray, flip: int) -> None:
         """Step the digits, tail and word from the current flip to ``flip``;
@@ -295,8 +341,7 @@ class FlipRanks:
 
     def rank(self, perms: np.ndarray, flip: int) -> np.ndarray:
         """Ranks of the loaded batch ``perms`` with its first ``flip`` entries flipped."""
-        if self._batch is None or self._batch() is not perms:
-            raise ValueError("the state holds another batch; load this one first")
+        self._check(perms)
         if flip < self._flip:
             raise ValueError(f"flips must ascend: flip {flip} after flip {self._flip}")
         self._advance(perms.T.view(np.uint8), flip)

@@ -1,26 +1,49 @@
 """Breadth-first layer profiles of pancake graphs, and single-stack queries.
 
-Two engines count the layers, with identical results. Both expand a layer
-through one loop, :func:`_fresh_neighbors`, which unranks a chunk of ranks,
-applies every flip with the vectorized kernels, ranks the neighbors and
-yields those the engine has not seen; one rule, :func:`_chunk_bytes`,
-charges its per-rank buffers in both engines' memory estimates.
+Two engines count the layers, with identical results. Both unrank chunks of
+ranks and rank every flip of a chunk with the vectorized kernels;
+:func:`_chunk_bytes` charges the per-rank buffers of every such loop in both
+engines' memory estimates.
 
 The bitset engine searches the whole graph. The visited set and the current
 frontier are flat bit arrays indexed by permutation rank (BP_8 has ~10.3M
-vertices but its bitset is 1.3 MB). The loop takes the frontier's set bits
-block by block and tests neighbors against the visited set; the popcount of
-the fresh neighbors' merged bits is the next layer count. One generator
-runs the layers for fresh, checkpointed and resumed profiles alike.
+vertices but its bitset is 1.3 MB). It builds each layer in one of two
+directions (direction-optimizing BFS: Beamer, Asanovic & Patterson, SC
+2012), with the same candidate bits either way:
+
+- top-down, :func:`_fresh_neighbors` takes the frontier's set bits block by
+  block, ranks every neighbor of each and keeps those not visited;
+- bottom-up, :func:`_frontier_children` takes the *clear* bits of the
+  visited set block by block (each block's bits are unpacked once and
+  inverted in place, and bits past the last rank are never unpacked), ranks
+  each vertex's flips in ascending order and stops at the first that lands
+  in the frontier. A chunk ends once every row has matched, and a flip that
+  matches a quarter of the rows left moves the others to the front of the
+  batch and of the ranking state's own buffers, so that the later flips
+  rank only them.
+
+A layer goes bottom-up when the frontier fills at least one chunk and holds
+more vertices than are left unvisited, both known from the layer counts
+before the layer is built, so fresh and resumed searches choose alike. Late
+in the search most unvisited vertices are one flip from the frontier, and
+bottom-up ranks far fewer neighbors: 17.3M instead of 32.7M at P_10. A
+frontier below one chunk costs one kernel call per flip either way, so the
+chunk gate keeps small layers, and small graphs, top-down. A bottom-up step
+holds what a top-down one does: one extracted block of ranks (one byte per
+bit of the block while it is unpacked, and an int64 per rank), the chunk's
+batch and ranking state, and per-flip arrays no wider than top-down's. The
+popcount of the merged candidate bits is the next layer count. One
+generator runs the layers for fresh, checkpointed and resumed profiles
+alike.
 
 The ball engine counts only the first K layers, in memory that grows with
 those layers instead of with the graph (frontier search: Korf, Zhang,
 Thayer & Hohwald, JACM 2005). It holds the last two layers as sorted int64
 rank arrays. The graphs are undirected, so the next layer is every neighbor
-of the current one in neither array, which is the loop's test; sorting
-removes duplicates. :func:`layer_profile` runs it for a ``max_layer``
-search without a checkpoint when its estimate, from
-|L_{k+1}| <= (degree - 1) |L_k|, is below the bitset engine's
+of the current one in neither array, which is the test it hands
+:func:`_fresh_neighbors`; sorting removes duplicates. :func:`layer_profile`
+runs it for a ``max_layer`` search without a checkpoint when its estimate,
+from |L_{k+1}| <= (degree - 1) |L_k|, is below the bitset engine's
 :func:`required_memory` at one worker, so that the choice does not depend
 on ``workers``. So ``table --k`` and the formula checks reach the first
 layers of graphs whose bitsets would not fit, up to the int64 rank limits
@@ -31,10 +54,11 @@ an iterative-deepening A* with the gap heuristic walks from the stack to the
 identity in memory linear in n, so it answers at sizes whose bitsets would
 not fit (Helmert, "Landmark heuristics for the pancake problem", 2010).
 
-In the bitset engine, workers partition the frontier into contiguous word
-spans. Each worker fills a private candidate bitset and the results are
-OR-merged single-threaded between layers, so profiles are bit-identical for
-every worker count. The ball engine runs on one thread.
+In the bitset engine, workers partition the words of the frontier
+(top-down) or of the visited set (bottom-up) into contiguous spans. Each
+worker fills a private candidate bitset and the results are OR-merged
+single-threaded between layers, so profiles are bit-identical for every
+worker count. The ball engine runs on one thread.
 
 Memory is accounted for up front: a layer search that would exceed the
 limit refuses with the required size instead of thrashing. The bitset
@@ -84,6 +108,9 @@ MEMORY_LIMIT_ENV = "PANCAKE_MEM_LIMIT"
 # 4 MB L2 cache and a P_10 profile ran about 9% slower
 _CHUNK = 1 << 16
 _BLOCK_WORDS = 1 << 15  # frontier words scanned per extraction
+# a bottom-up flip that matches at least 1/_COMPACT of a chunk's rows left
+# drops them from the batch
+_COMPACT = 4
 
 
 class MemoryLimitError(MemoryError):
@@ -136,18 +163,24 @@ def resolve_memory_limit(memory_limit: int | None) -> int:
 
 
 def _chunk_bytes(graph: PancakeGraph, ranks: int) -> int:
-    """Bytes of the batch buffers of :func:`_fresh_neighbors` on ``ranks`` ranks."""
-    # per rank of a chunk, 2n + 48 covers the widest moment. The FlipRanks
-    # state lives through every chunk: n digit bytes and at most 20 more (the
-    # int64 result, the wide tail, a uint16 and a wide Horner sum, where an
-    # int64 sum is the result, and the sign word). Beside it one n-byte batch
-    # and at most 26 bytes: unranking holds the int64 shifted signed ranks,
-    # two wide and two uint16 remainders and digits; dropping seen neighbors
-    # at most 18 (the bitset test's int64 byte offsets and two byte arrays,
-    # np.compress's int64 index and fresh ranks, or the ball engine's int64
-    # positions and looked-up ranks); setting fresh bits at most 18 (the
-    # int64 fresh ranks, and bitset_add's int64 byte offsets, bits and held
-    # bytes). The last 2 bytes cover NumPy's casting buffers of
+    """Bytes of the batch buffers of :func:`_fresh_neighbors` or
+    :func:`_frontier_children` on ``ranks`` ranks."""
+    # per rank of a chunk, 2n + 48 covers the widest moment of either
+    # direction. The FlipRanks state lives through every chunk: n digit bytes
+    # and at most 20 more (the int64 result, the wide tail, a uint16 and a
+    # wide Horner sum, where an int64 sum is the result, and the sign word).
+    # Beside it one n-byte batch and at most 26 bytes: unranking holds the
+    # int64 shifted signed ranks, two wide and two uint16 remainders and
+    # digits. Top-down, dropping seen neighbors takes at most 18 (the bitset
+    # test's int64 byte offsets and two byte arrays, np.compress's int64
+    # index and fresh ranks, or the ball engine's int64 positions and
+    # looked-up ranks) and setting fresh bits at most 18 (the int64 fresh
+    # ranks, and bitset_add's int64 byte offsets, bits and held bytes).
+    # Bottom-up, the frontier test's byte mask stays beside each of those
+    # steps, at most 19, and a compaction at most 17: the mask, an int64
+    # index of the rows kept and np.take's copy of the kept ranks, which
+    # overlap their source (the state gathers through its result buffer,
+    # allocating nothing). The last 2 bytes cover NumPy's casting buffers of
     # np.getbufsize() elements in a full chunk
     return min(_CHUNK, ranks) * (2 * graph.n + 48)
 
@@ -164,7 +197,10 @@ def required_memory(
 
     The estimate is the larger of two phases, expanding a layer and saving
     or reading a checkpoint between layers, plus the checksum tables that a
-    checkpoint leaves cached for both.
+    checkpoint leaves cached for both. A layer built bottom-up holds the
+    same bitsets as one built top-down, and its per-worker buffers fit the
+    same per-rank and per-bit charges, so one estimate covers both
+    directions.
 
     ``with_layer_map`` adds three bitsets that keep every layer by its index
     mod 3, enough to find a vertex's layer. No search here keeps them (the
@@ -180,9 +216,10 @@ def required_memory(
     # layer map its three residue bitsets
     bitsets = (2 + workers + 3 * with_layer_map) * 8 * nwords
     buffers = workers * _chunk_bytes(graph, size)
-    # per-worker extraction of one frontier block: unpackbits' byte per bit
-    # plus flatnonzero's int64 per set bit (a block under half nonzero words
-    # unpacks only those, at most 1,049 bytes per nonzero word)
+    # per-worker extraction of one block: unpackbits' byte per bit plus
+    # flatnonzero's int64 per set bit of the frontier (a block under half
+    # nonzero words unpacks only those, at most 1,049 bytes per nonzero
+    # word), or per clear bit of visited, unpacked and inverted in place
     extraction = workers * 9 * 64 * min(_BLOCK_WORDS, nwords)
     # bitset_popcount: np.bitwise_count's uint8 per frontier word, and the
     # buffer in which sum() casts them to uint64, np.getbufsize() at most
@@ -227,6 +264,14 @@ def _save(
         write_checkpoint(checkpoint_path, cp)
 
 
+def _kernel_pair(graph: PancakeGraph) -> tuple[Callable, Callable]:
+    """The unrank and rank kernels of ``graph``, looked up on each call so
+    that wrappers on _kernels see every call."""
+    if graph.kind is GraphKind.BURNT:
+        return K.batch_sunrank, K.batch_srank
+    return K.batch_unrank, K.batch_rank
+
+
 def _fresh_neighbors(
     graph: PancakeGraph, ranks: np.ndarray, seen: Callable[[np.ndarray], np.ndarray]
 ) -> Iterator[np.ndarray]:
@@ -235,13 +280,10 @@ def _fresh_neighbors(
     One :class:`~pancakes._kernels.FlipRanks` ranks every flip of a chunk, in
     ascending order, and its buffers serve every chunk. Nothing of one flip
     is alive while the next one is ranked (:func:`_chunk_bytes` counts on
-    it), so a caller drops each array before it asks for the next. The
-    kernels are looked up on each run, so that wrappers on _kernels see
-    every call.
+    it), so a caller drops each array before it asks for the next.
     """
-    signed = graph.kind is GraphKind.BURNT
-    unrank, rank = (K.batch_sunrank, K.batch_srank) if signed else (K.batch_unrank, K.batch_rank)
-    state = K.FlipRanks(graph.n, min(_CHUNK, ranks.size), signed=signed)
+    unrank, rank = _kernel_pair(graph)
+    state = K.FlipRanks(graph.n, min(_CHUNK, ranks.size), signed=graph.kind is GraphKind.BURNT)
     for start in range(0, ranks.size, _CHUNK):
         chunk = ranks[start : start + _CHUNK]
         perms = unrank(graph.n, chunk)
@@ -256,39 +298,121 @@ def _fresh_neighbors(
         del perms  # before the next chunk is unranked
 
 
+def _frontier_children(
+    graph: PancakeGraph, ranks: np.ndarray, frontier: np.ndarray
+) -> Iterator[np.ndarray]:
+    """For each chunk of the unvisited ``ranks`` and each flip, the ranks
+    whose flip lands in ``frontier`` and whose smaller flips did not.
+
+    The bottom-up step of :func:`_expand_span`. Flips ascend and a row
+    leaves its chunk at its first match, so no rank is yielded twice, and
+    a chunk ends once every row has matched. A flip that matches at least
+    1/_COMPACT of the rows left moves the others to the front of the batch,
+    of the state's buffers and of their chunk of ``ranks``, which is
+    overwritten, so the later flips rank only them. As in
+    :func:`_fresh_neighbors`, a caller drops each array before it asks for
+    the next.
+    """
+    unrank, rank = _kernel_pair(graph)
+    state = K.FlipRanks(graph.n, min(_CHUNK, ranks.size), signed=graph.kind is GraphKind.BURNT)
+    for start in range(0, ranks.size, _CHUNK):
+        rows = ranks[start : start + _CHUNK]
+        perms = unrank(graph.n, rows)
+        state.load(perms, rows)
+        for i in graph.flip_indices:
+            hit = K.bitset_test(frontier, rank(perms, i, state))
+            matched = np.count_nonzero(hit)
+            if matched:
+                children = np.compress(hit, rows)
+                yield children
+                del children
+            if matched == rows.size:
+                break
+            if i < graph.n and matched * _COMPACT >= rows.size:  # flip n is the last
+                keep = np.flatnonzero(np.logical_not(hit, out=hit))
+                del hit
+                perms = state.compact(perms, keep)
+                np.take(rows, keep, out=rows[: keep.size])
+                rows = rows[: keep.size]
+                del keep
+            else:
+                del hit
+        del perms, rows  # before the next chunk is unranked
+
+
+def _unvisited_ranks(visited: np.ndarray, lo: int, hi: int, size: int) -> np.ndarray:
+    """Ranks below ``size`` whose bits in words [lo, hi) of ``visited`` are clear.
+
+    The words are unpacked once, one byte per bit up to bit ``size``, and
+    those bytes are inverted in place: there is no inverted copy of the
+    words, and no bit past the graph's last rank is read.
+    """
+    bits = np.unpackbits(
+        visited[lo:hi].view(np.uint8), count=min(64 * (hi - lo), size - 64 * lo), bitorder="little"
+    )
+    clear = bits.view(np.bool_)  # the unpacked bytes are 0 or 1
+    np.logical_not(clear, out=clear)
+    ranks = np.flatnonzero(clear)
+    del bits, clear
+    ranks += 64 * lo
+    return ranks
+
+
 def _expand_span(
-    graph: PancakeGraph, visited: np.ndarray, frontier: np.ndarray, lo: int, hi: int
+    graph: PancakeGraph,
+    visited: np.ndarray,
+    frontier: np.ndarray,
+    lo: int,
+    hi: int,
+    bottom_up: bool,
 ) -> np.ndarray:
-    """Candidate bitset of unvisited neighbors of frontier bits in words [lo, hi)."""
+    """Candidate bitset of the next layer's vertices found from words [lo, hi).
+
+    Top-down, those are the unvisited neighbors of the frontier bits in the
+    words; bottom-up, the unvisited vertices of the words with a neighbor in
+    the frontier.
+    """
     cand = np.zeros_like(visited)
     for block in range(lo, hi, _BLOCK_WORDS):
         top = min(block + _BLOCK_WORDS, hi)
-        span = frontier[block:top]
-        if not span.any():
-            continue
-        ranks = K.bitset_extract_ranks(span, word_offset=block)
-        for fresh in _fresh_neighbors(graph, ranks, lambda r: K.bitset_test(visited, r)):
-            if fresh.size:
-                # one flip of distinct ranks: no rank repeats
-                K.bitset_add(cand, fresh)
-            del fresh
-        del ranks  # before the next block is extracted
+        if bottom_up:
+            ranks = _unvisited_ranks(visited, block, top, graph.size)
+            found = _frontier_children(graph, ranks, frontier)
+        else:
+            span = frontier[block:top]
+            if not span.any():
+                continue
+            ranks = K.bitset_extract_ranks(span, word_offset=block)
+            found = _fresh_neighbors(graph, ranks, lambda r: K.bitset_test(visited, r))
+        for new in found:
+            # one flip of distinct ranks, or distinct ranks of their own: no
+            # rank repeats
+            if new.size:
+                K.bitset_add(cand, new)
+            del new
+        del ranks, found  # before the next block is extracted
     return cand
 
 
 def _expand_layer(
-    graph: PancakeGraph, visited: np.ndarray, frontier: np.ndarray, workers: int
+    graph: PancakeGraph,
+    visited: np.ndarray,
+    frontier: np.ndarray,
+    workers: int,
+    bottom_up: bool,
 ) -> np.ndarray:
     """Bitset of the next layer (unvisited neighbors of the frontier)."""
     nwords = visited.shape[0]
     if workers <= 1 or nwords < workers:
-        return _expand_span(graph, visited, frontier, 0, nwords)
+        return _expand_span(graph, visited, frontier, 0, nwords, bottom_up)
     from concurrent.futures import ThreadPoolExecutor  # single-worker runs skip its import
 
     bounds = [nwords * w // workers for w in range(workers + 1)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         cand, *parts = pool.map(
-            lambda lo, hi: _expand_span(graph, visited, frontier, lo, hi), bounds, bounds[1:]
+            lambda lo, hi: _expand_span(graph, visited, frontier, lo, hi, bottom_up),
+            bounds,
+            bounds[1:],
         )
     for part in parts:
         np.bitwise_or(cand, part, out=cand)
@@ -296,16 +420,26 @@ def _expand_layer(
 
 
 def _layers(
-    graph: PancakeGraph, visited: np.ndarray, frontier: np.ndarray, workers: int
+    graph: PancakeGraph,
+    visited: np.ndarray,
+    frontier: np.ndarray,
+    counts: list[int] | tuple[int, ...],
+    workers: int,
 ) -> Iterator[tuple[np.ndarray, int]]:
     """Yield each next layer's bitset and popcount, ending after the empty layer.
 
-    A layer is OR-ed into ``visited`` before it is yielded.
+    ``counts`` are the layers found so far, the last one the frontier. A
+    layer is expanded bottom-up when the frontier fills a chunk and more
+    vertices are in it than are unvisited, else top-down. A layer is OR-ed
+    into ``visited`` before it is yielded.
     """
-    found = 1
+    found = counts[-1]
+    unvisited = graph.size - sum(counts)
     while found:
-        frontier = _expand_layer(graph, visited, frontier, workers)
+        bottom_up = found >= _CHUNK and unvisited < found
+        frontier = _expand_layer(graph, visited, frontier, workers, bottom_up)
         found = K.bitset_popcount(frontier)
+        unvisited -= found
         if found:
             np.bitwise_or(visited, frontier, out=visited)
         yield frontier, found
@@ -489,7 +623,7 @@ def layer_profile(
     )
     counts = [1]
     _save(checkpoint_path, graph, counts, visited, frontier)
-    layers = _layers(graph, visited, frontier, workers)
+    layers = _layers(graph, visited, frontier, counts, workers)
     # only the generator may keep the start frontier, so that it is freed
     # once layer 1 replaces it; required_memory counts one frontier
     del frontier
@@ -533,7 +667,7 @@ def resume(
     if done:
         return _profile(graph, cp.counts if max_layer is None else cp.counts[: max_layer + 1])
     visited, counts = cp.visited, list(cp.counts)
-    layers = _layers(graph, visited, cp.frontier, workers)
+    layers = _layers(graph, visited, cp.frontier, counts, workers)
     del cp  # as in layer_profile: the generator alone holds the frontier
     return _run_layers(
         graph, visited, layers, counts, checkpoint_path=checkpoint_path, max_layer=max_layer

@@ -274,7 +274,7 @@ def bfs_walk_reference(graph: PancakeGraph, target: Perm | SignedPerm) -> tuple[
     # expand layer 1, and residue 0 is first OR-ed into at layer 3
     residues = [frontier, K.bitset_alloc(graph.size), K.bitset_alloc(graph.size)]
     probe = np.array([target_rank], dtype=np.int64)
-    for depth, (new, _) in enumerate(_layers(graph, visited, frontier, workers), 1):
+    for depth, (new, _) in enumerate(_layers(graph, visited, frontier, [1], workers), 1):
         np.bitwise_or(residues[depth % 3], new, out=residues[depth % 3])
         if K.bitset_test(new, probe)[0]:
             break

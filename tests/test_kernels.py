@@ -312,6 +312,34 @@ class TestFlipRanks:
             expected = flipped_ranks(n, batch, signed)
             assert all(np.array_equal(got[i], expected[i]) for i in got)
 
+    @pytest.mark.parametrize(
+        "n, signed", [(n, False) for n in range(1, 8)] + [(n, True) for n in range(1, 6)]
+    )
+    def test_compacted_rows_rank_as_flipped_copies(self, n, signed):
+        # the bottom-up search drops matched rows between flips; every flip
+        # after a compaction must still rank the rows that are left exactly
+        size = math.factorial(n) << (n if signed else 0)
+        ranks = np.arange(size, dtype=np.int64)
+        unrank, rank = (
+            (K.batch_sunrank, K.batch_srank) if signed else (K.batch_unrank, K.batch_rank)
+        )
+        expected = flipped_ranks(n, ranks, signed)
+        rng = np.random.default_rng(1000 * n + signed)
+        # a share of 1.0 drops every row at the first flip: the later flips
+        # rank an empty batch
+        for share in (0.0, 0.3, 0.7, 1.0):
+            perms = unrank(n, ranks)
+            state = K.FlipRanks(n, size, signed=signed)
+            state.load(perms, ranks)
+            rows = np.arange(size)  # the original row of each row left
+            for i in range(1 if signed else 2, n + 1):
+                got = rank(perms, i, state)
+                assert np.array_equal(got, expected[i][rows]), (share, i)
+                index = np.flatnonzero(rng.random(rows.size) >= share)
+                perms = state.compact(perms, index)
+                rows = rows[index]
+                assert perms.shape == (rows.size, n)
+
     def test_refuses_descending_flips_and_another_batch(self):
         n = 6
         ranks = np.arange(50, dtype=np.int64)

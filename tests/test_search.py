@@ -103,6 +103,17 @@ def all_optimal_sequences(g, v, dist_map):
     return out
 
 
+def bottom_up_layers(g, counts, chunk):
+    """The layers the direction rule expands bottom-up, given the graph's
+    layer counts: the frontier fills a chunk and holds more vertices than
+    are left unvisited."""
+    return [
+        k
+        for k, found in enumerate(counts)
+        if found >= chunk and g.size - sum(counts[: k + 1]) < found
+    ]
+
+
 class TestLayerProfile:
     def test_plain_n4(self):
         assert layer_profile(graph(PLAIN, 4)).counts == (1, 3, 6, 11, 3)
@@ -200,30 +211,135 @@ class TestLayerProfile:
     def test_no_fresh_array_repeats_a_rank(self, monkeypatch, kind, n):
         # _expand_span sets each array with bitset_add, which takes no rank
         # twice; chunks of 5 ranks put chunk boundaries inside every layer
-        # of more than 5 vertices
+        # of more than 5 vertices, and send the late layers bottom-up
         monkeypatch.setattr(search, "_CHUNK", 5)
-        fresh_neighbors = search._fresh_neighbors
-        arrays = 0
+        arrays = {"top-down": 0, "bottom-up": 0}
 
-        def checked(graph, ranks, seen):
-            nonlocal arrays
-            for fresh in fresh_neighbors(graph, ranks, seen):
-                assert np.unique(fresh).size == fresh.size
-                arrays += 1
-                yield fresh
+        def checked(direction, generator):
+            def run(*args):
+                for new in generator(*args):
+                    assert np.unique(new).size == new.size
+                    arrays[direction] += 1
+                    yield new
 
-        monkeypatch.setattr(search, "_fresh_neighbors", checked)
+            return run
+
+        for name, direction in [
+            ("_fresh_neighbors", "top-down"),
+            ("_frontier_children", "bottom-up"),
+        ]:
+            monkeypatch.setattr(search, name, checked(direction, getattr(search, name)))
         g = graph(kind, n)
         profile = layer_profile(g)
         assert profile.counts == tuple(naive_layer_counts(n, burnt=kind is BURNT))
-        # one array per flip of each chunk of each layer
-        assert arrays == len(g.flip_indices) * sum(-(-c // 5) for c in profile.counts)
+        # one top-down array per flip of each chunk of each top-down layer
+        bottom_up = bottom_up_layers(g, profile.counts, 5)
+        top_down = [c for k, c in enumerate(profile.counts) if k not in bottom_up]
+        assert arrays["top-down"] == len(g.flip_indices) * sum(-(-c // 5) for c in top_down)
+        # from P_5 and BP_3 on, some layer is bottom-up and finds vertices
+        if g.size >= 48:
+            assert arrays["bottom-up"] > 0
 
     def test_profile_accessors(self):
         p = layer_profile(graph(PLAIN, 4))
         assert p.depth == 4
         assert p.graph == graph(PLAIN, 4)
         assert p.n == 4 and p.kind is PLAIN
+
+
+# graphs whose every layer is expanded in both directions; many of their
+# sizes are not multiples of 64 (P_5, P_7, BP_3 and more), so the last word
+# of a bitset holds bits past the last rank
+DIRECTION_GRAPHS = [(PLAIN, n) for n in range(1, 9)] + [(BURNT, n) for n in range(1, 7)]
+
+
+class TestDirections:
+    """Bottom-up layers: the unvisited vertices with a neighbor in the frontier."""
+
+    def test_cases_include_a_partial_last_word(self):
+        assert any(graph(kind, n).size % 64 for kind, n in DIRECTION_GRAPHS)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind,n", DIRECTION_GRAPHS)
+    def test_bottom_up_finds_the_top_down_layer(self, monkeypatch, kind, n, workers):
+        g = graph(kind, n)
+        # small chunks and blocks put chunk and block boundaries inside
+        # layers, and late layers leave whole blocks visited; P_8 and BP_6
+        # take larger ones, or tiny kernel calls would take most of the run
+        chunk, block_words = (37, 3) if g.size < 10_000 else (401, 16)
+        monkeypatch.setattr(search, "_CHUNK", chunk)
+        monkeypatch.setattr(search, "_BLOCK_WORDS", block_words)
+        visited, frontier = search._start(g, None, workers, f"layer profile of {g}")
+        nwords = visited.size
+        spans = workers if nwords >= workers else 1  # as _expand_layer splits the words
+        bounds = [nwords * w // spans for w in range(spans + 1)]
+        blocks = [
+            (lo, min(lo + block_words, hi))
+            for lo, hi in zip(bounds, bounds[1:])
+            for lo in range(lo, hi, block_words)
+        ]
+        counts, full_blocks = [1], 0
+        while True:
+            seen = np.unpackbits(visited.view(np.uint8), bitorder="little")[: g.size]
+            full_blocks += sum(bool(seen[64 * lo : 64 * hi].all()) for lo, hi in blocks)
+            del seen
+            top_down = search._expand_layer(g, visited, frontier, workers, False)
+            bottom_up = search._expand_layer(g, visited, frontier, workers, True)
+            assert np.array_equal(bottom_up, top_down), len(counts)
+            found = _kernels.bitset_popcount(top_down)
+            if not found:
+                break
+            counts.append(found)
+            np.bitwise_or(visited, top_down, out=visited)
+            frontier = top_down
+        assert counts == naive_layer_counts(n, burnt=kind is BURNT)
+        # blocks with no unvisited vertex below the graph's size: the last
+        # expansion, after which every vertex is visited, meets only those
+        assert full_blocks >= len(blocks)
+        # from P_6 and BP_4 on, some block is full while layers remain
+        if g.size >= 384:
+            assert full_blocks > len(blocks)
+
+    @pytest.mark.parametrize(
+        "kind, n, expected", [(PLAIN, 10, [9, 10, 11]), (BURNT, 8, [10, 11, 12])]
+    )
+    def test_late_layers_of_the_largest_tables_go_bottom_up(
+        self, monkeypatch, tmp_path, kind, n, expected
+    ):
+        g = graph(kind, n)
+        ran = []
+        expand = search._expand_layer
+
+        def recording(*args):
+            ran.append(args[-1])  # bottom_up
+            return expand(*args)
+
+        monkeypatch.setattr(search, "_expand_layer", recording)
+        # a fresh run to the first bottom-up layer, then resumes one layer at
+        # a time, keeping the checkpoint at each bottom-up layer
+        path = tmp_path / "g.ckpt"
+        layer_profile(g, checkpoint_path=path, max_layer=expected[0])
+        saved = {}
+        for k in expected:
+            saved[k] = path.read_bytes()
+            resume(path, max_layer=k + 1)
+        full = resume(path)
+        published = known_counts(kind)[n]
+        assert full.complete
+        assert full.counts[: len(published)] == published[: len(full.counts)]
+        # the rule on the layer counts, the published row for the layers it
+        # has, picks exactly the layers that ran bottom-up
+        assert [k for k, up in enumerate(ran) if up] == expected
+        assert bottom_up_layers(g, full.counts, search._CHUNK) == expected
+        assert bottom_up_layers(g, published, search._CHUNK) == [
+            k for k in expected if k < len(published)
+        ]
+        for k, data in saved.items():
+            copy = tmp_path / f"layer{k}.ckpt"
+            copy.write_bytes(data)
+            ran.clear()
+            assert resume(copy) == full
+            assert [k + j for j, up in enumerate(ran) if up] == expected[expected.index(k) :]
 
 
 class TestMemoryAccounting:
@@ -279,6 +395,26 @@ class TestMemoryAccounting:
             for fresh in search._fresh_neighbors(g, ranks, seen):
                 _kernels.bitset_add(cand, fresh)
                 del fresh
+
+        assert traced_peak(one_pass) <= search._chunk_bytes(g, search._CHUNK)
+        assert _kernels.bitset_popcount(cand) > 0
+
+    @pytest.mark.parametrize("density", [1.0, 0.3])
+    @pytest.mark.parametrize("kind,n", BITSET_GRAPHS)
+    def test_chunk_charge_covers_a_bottom_up_pass(self, kind, n, density):
+        # 2**18 unvisited ranks go through the bottom-up loop; a full frontier
+        # matches every row at the first flip, the widest set of children,
+        # and a partial one compacts the chunks between flips
+        g = graph(kind, n)
+        rng = np.random.default_rng(n)
+        ranks = np.unique(rng.integers(0, g.size, size=1 << 18))
+        frontier, cand = _kernels.bitset_alloc(g.size), _kernels.bitset_alloc(g.size)
+        _kernels.bitset_set(frontier, np.flatnonzero(rng.random(g.size) < density))
+
+        def one_pass():
+            for children in search._frontier_children(g, ranks, frontier):
+                _kernels.bitset_add(cand, children)
+                del children
 
         assert traced_peak(one_pass) <= search._chunk_bytes(g, search._CHUNK)
         assert _kernels.bitset_popcount(cand) > 0
