@@ -1,7 +1,9 @@
 """Vectorized batch kernels for the bitset BFS.
 
-Permutation batches are (m, n) arrays: uint8 one-line entries for the plain
-graph, int8 signed window entries for the burnt graph. Ranks are int64 and
+Permutation batches are (m, n) arrays of uint8 one-line entries, for both
+graphs: a burnt graph's search ranks unsigned rows with their signed ranks.
+Only :func:`batch_sunrank`, :func:`batch_signed_flip` and
+:func:`batch_srank` handle int8 signed window entries. Ranks are int64 and
 use the same encodings as :mod:`pancakes.perms` (lexicographic Lehmer rank;
 signed ranks put the unsigned rank in the high bits and one sign bit per
 position in the low n bits).
@@ -17,9 +19,14 @@ Lehmer digits i..n-1 and their share of the rank (the *tail*, the parent
 rank mod (n - i)!), and each step of i updates the digits of the flipped
 prefix with one comparison per entry before it. That is O(n^2) vector
 operations for all n - 1 or n flips of a rank, where flipping a copy and
-ranking it anew cost O(n^2) per flip. :func:`batch_rank` and
-:func:`batch_srank` with one argument rank a batch whole, through the same
-state: a batch is its reversal flipped whole, a flip that leaves no tail.
+ranking it anew cost O(n^2) per flip. A state takes one kind of batch: the
+unsigned uint8 rows and their int64 ranks, signed ranks for a signed state,
+which reads the signs from the ranks; the search unranks a signed chunk's
+unsigned parts (its ranks shifted right by n) with :func:`batch_unrank`.
+:func:`batch_rank` with a state is the one stateful entry, for both kinds.
+With one argument, :func:`batch_rank` and :func:`batch_srank` rank a batch
+whole by plain Lehmer counts (each digit the count of smaller entries after
+its position, folded by Horner's rule) and build no state.
 
 Flips ascend, so a caller can stop a row early: the bottom-up search drops
 each row at its first flip that lands in the frontier. Between flips,
@@ -43,10 +50,11 @@ n! * 2**n < 2**31 (n <= 9) and int64 above that. Digits, entries and
 comparison results are uint8 or bool. The state's buffers are allocated
 once and serve every batch of a search's chunk loop.
 
-:func:`batch_flip` and :func:`batch_signed_flip` stay: the search no longer
-calls them, but the kernel tests rank flipped copies with them as a second
-route to every flip's ranks, and the benchmark's tracer
-(``perfbench/spans.py``) wraps them by name.
+:func:`batch_sunrank`, :func:`batch_flip`, :func:`batch_signed_flip` and
+the whole-batch rankers stay: the search no longer calls them, but the
+kernel tests rank flipped copies with them, a second route to every flip's
+ranks that shares no code with :class:`FlipRanks`, and the benchmark's
+tracer (``perfbench/spans.py``) wraps them by name.
 
 Every per-rank step also stays on NumPy's fast loops, as timed at 2**18
 entries on NumPy 2.4:
@@ -198,8 +206,8 @@ def _horner_runs(n: int, flip: int) -> list[tuple[int, list[tuple[int, int]]]]:
 
 
 class FlipRanks:
-    """State from which :func:`batch_rank` and :func:`batch_srank`
-    rank every flip of a batch, in ascending flip order.
+    """State from which :func:`batch_rank` ranks every flip of a batch, in
+    ascending flip order; a signed state returns signed ranks.
 
     Flip i leaves Lehmer digits i..n-1 as they are, so their share of a
     neighbor's rank is the batch rank mod (n - i)!, the *tail*. Entry p[j]
@@ -237,21 +245,18 @@ class FlipRanks:
         self._sum_buf = self._out_buf if wide is np.int64 else np.empty(rows, dtype=wide)
         self._batch = None
 
-    def load(self, perms: np.ndarray, ranks: np.ndarray | None) -> None:
+    def load(self, perms: np.ndarray, ranks: np.ndarray) -> None:
         """Take the batch ``perms`` and its ``ranks``; flip 0 is next.
 
-        A signed batch's entries are replaced by their absolute values, in
-        place; its signs are read from ``ranks``. Without ``ranks`` only
-        flip n of a plain batch can be ranked.
+        ``perms`` holds unsigned uint8 one-line rows, for a signed state
+        too: the state reads the signs from the signed ``ranks``.
         """
-        if self.signed:
-            np.abs(perms, out=perms)
+        if perms.dtype != np.uint8:
+            raise ValueError(f"a batch holds uint8 rows, not {perms.dtype}")
         # a weak reference: the batch is freed when its caller drops it
         self._batch, self._flip = weakref.ref(perms), 0
-        self._tail = None if ranks is None else self._tail_buf
         self._fit(perms.shape[0])
-        if ranks is not None:
-            np.copyto(self._tail, ranks, casting="unsafe")  # the ranks fit
+        np.copyto(self._tail, ranks, casting="unsafe")  # the ranks fit
         if self.signed:
             self._word.fill(0)
 
@@ -262,8 +267,7 @@ class FlipRanks:
         bytes_ = self._group_buf.view(np.uint8)
         self._less, self._count = bytes_[:m], bytes_[rows : rows + m]
         self._group, self._sum, self._out = self._group_buf[:m], self._sum_buf[:m], self._out_buf[:m]
-        if self._tail is not None:
-            self._tail = self._tail_buf[:m]
+        self._tail = self._tail_buf[:m]
         if self.signed:
             self._word = self._word_buf[:m]
 
@@ -286,9 +290,7 @@ class FlipRanks:
         self._check(perms)
         k = index.size
         cols = perms.T
-        live = [*cols, *self._digits[: self._flip]]
-        if self._tail is not None:
-            live.append(self._tail)
+        live = [*cols, *self._digits[: self._flip], self._tail]
         if self.signed:
             live.append(self._word)
         for row in live:
@@ -311,7 +313,7 @@ class FlipRanks:
             v = cols[t]
             np.subtract(v, 1, out=digits[t])
             # the parent's digit at t, needed for the tail, is 0 at t = n - 1
-            parent_digit = tail is not None and t < n - 1
+            parent_digit = t < n - 1
             if parent_digit:
                 count.fill(0)
             for j in range(t):
@@ -319,8 +321,6 @@ class FlipRanks:
                 digits[j] -= less
                 if parent_digit:
                     count += less
-            if tail is None:
-                continue
             step = self._sum
             if parent_digit:
                 # v - 1 minus the t - count smaller entries before it
@@ -344,7 +344,7 @@ class FlipRanks:
         self._check(perms)
         if flip < self._flip:
             raise ValueError(f"flips must ascend: flip {flip} after flip {self._flip}")
-        self._advance(perms.T.view(np.uint8), flip)
+        self._advance(perms.T, flip)
         digits, group, total = self._digits, self._group, self._sum
         runs = _horner_runs(self.n, flip)
         if not runs:
@@ -360,11 +360,10 @@ class FlipRanks:
             else:
                 total *= span
                 total += group
-        if self._tail is not None:
-            total *= math.factorial(self.n - flip) * self._scale
-            total += self._tail
-            if self.signed:
-                total += self._word  # the sign bits below the tail's
+        total *= math.factorial(self.n - flip) * self._scale
+        total += self._tail
+        if self.signed:
+            total += self._word  # the sign bits below the tail's
         if total is not self._out:
             np.copyto(self._out, total)
         return self._out
@@ -373,14 +372,21 @@ class FlipRanks:
 def _whole_ranks(perms: np.ndarray) -> np.ndarray:
     """Lexicographic ranks of one-line uint8 rows, shape (m,) int64.
 
-    The rows are their own reversals with all n entries flipped, a flip
-    that leaves no tail, so :class:`FlipRanks` ranks them without ranks.
+    The Lehmer digit of a position is the count of smaller entries after
+    it; the digits are folded by Horner's rule, each comparison added to
+    the sum as it is made. The search never ranks a batch whole, so this
+    route is kept short rather than fast.
     """
     m, n = perms.shape
-    state = FlipRanks(n, m)
-    reversal = perms[:, ::-1]
-    state.load(reversal, None)
-    return state.rank(reversal, n)
+    total = np.zeros(m, dtype=_lehmer_dtype(n))
+    less = np.empty(m, dtype=np.uint8)
+    cols = perms.T
+    for j in range(n - 1):  # the last digit is always 0
+        total *= n - j
+        for k in range(j + 1, n):
+            np.less(cols[k], cols[j], out=less.view(np.bool_))
+            total += less
+    return total.astype(np.int64, copy=False)
 
 
 def batch_rank(
@@ -389,7 +395,8 @@ def batch_rank(
     """Lexicographic ranks of one-line uint8 rows, shape (m,) int64.
 
     Given ``flip`` and a ``state`` that loaded ``perms``, the ranks of the
-    rows with their first ``flip`` entries reversed; see :class:`FlipRanks`.
+    rows with their first ``flip`` entries reversed, or reversed and negated
+    for a signed state, whose ranks are signed; see :class:`FlipRanks`.
     """
     if state is None:
         return _whole_ranks(perms)
@@ -424,17 +431,8 @@ def batch_sunrank(n: int, ranks: np.ndarray) -> np.ndarray:
     return out
 
 
-def batch_srank(
-    perms: np.ndarray, flip: int | None = None, state: FlipRanks | None = None
-) -> np.ndarray:
-    """Signed ranks of int8 window rows, shape (m,) int64.
-
-    Given ``flip`` and a signed ``state`` that loaded ``perms``, the ranks of
-    the rows with their first ``flip`` entries reversed and negated; see
-    :class:`FlipRanks`.
-    """
-    if state is not None:
-        return state.rank(perms, flip)
+def batch_srank(perms: np.ndarray) -> np.ndarray:
+    """Signed ranks of int8 window rows, shape (m,) int64."""
     m, n = perms.shape
     signs = np.zeros(m, dtype=_sign_dtype(n))
     negative = np.empty(m, dtype=np.uint8)

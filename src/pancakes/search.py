@@ -1,9 +1,12 @@
 """Breadth-first layer profiles of pancake graphs, and single-stack queries.
 
-Two engines count the layers, with identical results. Both unrank chunks of
-ranks and rank every flip of a chunk with the vectorized kernels;
-:func:`_chunk_bytes` charges the per-rank buffers of every such loop in both
-engines' memory estimates.
+Two engines count the layers, with identical results. Both run the same
+chunk loops: each chunk of ranks is unranked into unsigned uint8 rows (the
+unsigned part of a signed rank is the rank shifted right by n), and one
+:class:`~pancakes._kernels.FlipRanks`, loaded with the rows and their ranks,
+ranks every flip of the chunk; a signed state reads the signs from the
+ranks. :func:`_chunk_bytes` charges the per-rank buffers of every such loop
+in both engines' memory estimates.
 
 The bitset engine searches the whole graph. The visited set and the current
 frontier are flat bit arrays indexed by permutation rank (BP_8 has ~10.3M
@@ -264,32 +267,25 @@ def _save(
         write_checkpoint(checkpoint_path, cp)
 
 
-def _kernel_pair(graph: PancakeGraph) -> tuple[Callable, Callable]:
-    """The unrank and rank kernels of ``graph``, looked up on each call so
-    that wrappers on _kernels see every call."""
-    if graph.kind is GraphKind.BURNT:
-        return K.batch_sunrank, K.batch_srank
-    return K.batch_unrank, K.batch_rank
-
-
 def _fresh_neighbors(
     graph: PancakeGraph, ranks: np.ndarray, seen: Callable[[np.ndarray], np.ndarray]
 ) -> Iterator[np.ndarray]:
     """For each chunk of ``ranks`` and each flip, the neighbor ranks not ``seen``.
 
-    One :class:`~pancakes._kernels.FlipRanks` ranks every flip of a chunk, in
-    ascending order, and its buffers serve every chunk. Nothing of one flip
-    is alive while the next one is ranked (:func:`_chunk_bytes` counts on
-    it), so a caller drops each array before it asks for the next.
+    One :class:`~pancakes._kernels.FlipRanks` ranks every flip of a chunk's
+    unsigned rows, in ascending order, and its buffers serve every chunk.
+    Nothing of one flip is alive while the next one is ranked
+    (:func:`_chunk_bytes` counts on it), so a caller drops each array before
+    it asks for the next.
     """
-    unrank, rank = _kernel_pair(graph)
-    state = K.FlipRanks(graph.n, min(_CHUNK, ranks.size), signed=graph.kind is GraphKind.BURNT)
+    signed = graph.kind is GraphKind.BURNT
+    state = K.FlipRanks(graph.n, min(_CHUNK, ranks.size), signed=signed)
     for start in range(0, ranks.size, _CHUNK):
         chunk = ranks[start : start + _CHUNK]
-        perms = unrank(graph.n, chunk)
+        perms = K.batch_unrank(graph.n, chunk >> graph.n if signed else chunk)
         state.load(perms, chunk)
         for i in graph.flip_indices:
-            neighbor_ranks = rank(perms, i, state)
+            neighbor_ranks = K.batch_rank(perms, i, state)
             old = seen(neighbor_ranks)
             fresh = np.compress(np.logical_not(old, out=old), neighbor_ranks)
             del neighbor_ranks, old
@@ -313,14 +309,14 @@ def _frontier_children(
     :func:`_fresh_neighbors`, a caller drops each array before it asks for
     the next.
     """
-    unrank, rank = _kernel_pair(graph)
-    state = K.FlipRanks(graph.n, min(_CHUNK, ranks.size), signed=graph.kind is GraphKind.BURNT)
+    signed = graph.kind is GraphKind.BURNT
+    state = K.FlipRanks(graph.n, min(_CHUNK, ranks.size), signed=signed)
     for start in range(0, ranks.size, _CHUNK):
         rows = ranks[start : start + _CHUNK]
-        perms = unrank(graph.n, rows)
+        perms = K.batch_unrank(graph.n, rows >> graph.n if signed else rows)
         state.load(perms, rows)
         for i in graph.flip_indices:
-            hit = K.bitset_test(frontier, rank(perms, i, state))
+            hit = K.bitset_test(frontier, K.batch_rank(perms, i, state))
             matched = np.count_nonzero(hit)
             if matched:
                 children = np.compress(hit, rows)

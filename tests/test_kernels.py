@@ -217,24 +217,30 @@ class TestSignedKernels:
             assert np.array_equal(K.batch_signed_flip(K.batch_signed_flip(perms, i), i), perms)
 
 
+def unsigned_batch(n, ranks, signed):
+    """The uint8 rows a state loads with ``ranks``, as the search unranks a
+    chunk: a signed rank's unsigned part is its rank shifted right by n."""
+    return K.batch_unrank(n, ranks >> n if signed else ranks)
+
+
 def flip_ranks(n, ranks, signed, state=None):
     """Each flip's ranks, in ascending order, from one FlipRanks loaded with
     the unranked ``ranks``, as the search ranks a chunk."""
-    unrank, rank = (K.batch_sunrank, K.batch_srank) if signed else (K.batch_unrank, K.batch_rank)
-    perms = unrank(n, ranks)
+    perms = unsigned_batch(n, ranks, signed)
     if state is None:
         state = K.FlipRanks(n, ranks.size, signed=signed)
     state.load(perms, ranks)
     out = {}
     for i in range(1 if signed else 2, n + 1):
-        got = rank(perms, i, state)
+        got = K.batch_rank(perms, i, state)
         assert got.dtype == np.int64 and got.shape == ranks.shape
         out[i] = got.copy()  # the next flip overwrites it
     return out
 
 
 def flipped_ranks(n, ranks, signed):
-    """Each flip's ranks from a flipped copy of the batch, ranked whole."""
+    """Each flip's ranks from a flipped copy of the batch, ranked whole by
+    Lehmer counts that share no code with :class:`FlipRanks`."""
     if signed:
         perms = K.batch_sunrank(n, ranks)
         return {i: K.batch_srank(K.batch_signed_flip(perms, i)) for i in range(1, n + 1)}
@@ -320,20 +326,17 @@ class TestFlipRanks:
         # after a compaction must still rank the rows that are left exactly
         size = math.factorial(n) << (n if signed else 0)
         ranks = np.arange(size, dtype=np.int64)
-        unrank, rank = (
-            (K.batch_sunrank, K.batch_srank) if signed else (K.batch_unrank, K.batch_rank)
-        )
         expected = flipped_ranks(n, ranks, signed)
         rng = np.random.default_rng(1000 * n + signed)
         # a share of 1.0 drops every row at the first flip: the later flips
         # rank an empty batch
         for share in (0.0, 0.3, 0.7, 1.0):
-            perms = unrank(n, ranks)
+            perms = unsigned_batch(n, ranks, signed)
             state = K.FlipRanks(n, size, signed=signed)
             state.load(perms, ranks)
             rows = np.arange(size)  # the original row of each row left
             for i in range(1 if signed else 2, n + 1):
-                got = rank(perms, i, state)
+                got = K.batch_rank(perms, i, state)
                 assert np.array_equal(got, expected[i][rows]), (share, i)
                 index = np.flatnonzero(rng.random(rows.size) >= share)
                 perms = state.compact(perms, index)
@@ -351,6 +354,19 @@ class TestFlipRanks:
             K.batch_rank(perms, 3, state)
         with pytest.raises(ValueError, match="another batch"):
             K.batch_rank(K.batch_unrank(n, ranks), 5, state)
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_refuses_a_batch_that_is_not_uint8(self, signed):
+        # a signed int8 batch would be ranked as if its entries were unsigned
+        n = 5
+        ranks = np.arange(40, dtype=np.int64)
+        state = K.FlipRanks(n, ranks.size, signed=signed)
+        for dtype in (np.int8, np.int16, np.int64):
+            perms = unsigned_batch(n, ranks, signed).astype(dtype)
+            with pytest.raises(ValueError, match="uint8 rows"):
+                state.load(perms, ranks)
+        with pytest.raises(ValueError, match="uint8 rows"):
+            state.load(K.batch_sunrank(n, ranks), ranks)
 
     def test_refuses_ranks_beyond_int64(self):
         with pytest.raises(ValueError, match="n <= 20"):

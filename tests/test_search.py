@@ -240,6 +240,20 @@ class TestLayerProfile:
         if g.size >= 48:
             assert arrays["bottom-up"] > 0
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_burnt_searches_build_no_signed_batch(self, monkeypatch, workers):
+        # a signed state takes unsigned rows and reads the signs from the
+        # ranks; chunks of 5 ranks send the late layers bottom-up and compact
+        # their chunks between flips
+        def refused(*args):
+            raise AssertionError("a search built a signed batch")
+
+        monkeypatch.setattr(_kernels, "batch_sunrank", refused)
+        monkeypatch.setattr(search, "_CHUNK", 5)
+        for n in range(1, 7):
+            profile = layer_profile(graph(BURNT, n), workers=workers)
+            assert profile.counts == tuple(naive_layer_counts(n, burnt=True)), n
+
     def test_profile_accessors(self):
         p = layer_profile(graph(PLAIN, 4))
         assert p.depth == 4
