@@ -57,7 +57,7 @@ ranks that shares no code with :class:`FlipRanks`, and the benchmark's
 tracer (``perfbench/spans.py``) wraps them by name.
 
 Every per-rank step also stays on NumPy's fast loops, as timed at 2**18
-entries on NumPy 2.4:
+entries on NumPy 2.4, but one:
 
 - no uint8 or uint16 word is shifted left by a constant; it is doubled
   with ``np.add(w, w, out=w)``, 10 to 20 times faster for uint8;
@@ -73,7 +73,12 @@ entries on NumPy 2.4:
   ranks that do not repeat, such as one flip (a bijection) of distinct
   ranks, the search's fresh neighbors; :func:`bitset_set` takes any ranks;
 - set bits are found with ``np.flatnonzero`` on a bool view of the
-  unpacked 0/1 bytes, 0.9 ns per byte against 6.9 ns on the uint8 bytes.
+  unpacked 0/1 bytes, 0.9 ns per byte against 6.9 ns on the uint8 bytes;
+- the exception: :func:`bitset_test` (``bits >>= shift``) and
+  :func:`bitset_set` and :func:`bitset_add` (``np.left_shift(1, bits)``)
+  shift uint8 by a uint8 array, which takes 55 to 85 us per 2**18 entries
+  against 8 to 10 us for a same-type AND or add. Replacing those shifts is
+  part of item 3 in ROADMAP.md.
 
 Ranks must fit in int64: n! < 2**63 holds for plain n <= 20 and
 n! * 2**n < 2**63 for signed n <= 16, the limits :data:`MAX_RANK_N` and
@@ -397,9 +402,14 @@ def batch_rank(
     Given ``flip`` and a ``state`` that loaded ``perms``, the ranks of the
     rows with their first ``flip`` entries reversed, or reversed and negated
     for a signed state, whose ranks are signed; see :class:`FlipRanks`.
+    One of ``flip`` and ``state`` without the other raises ValueError.
     """
     if state is None:
+        if flip is not None:
+            raise ValueError(f"flip {flip} needs the state that loaded the batch")
         return _whole_ranks(perms)
+    if flip is None:
+        raise ValueError("a state ranks a flip of its batch; no flip was given")
     return state.rank(perms, flip)
 
 
@@ -503,6 +513,8 @@ def bitset_extract_ranks(words: np.ndarray, word_offset: int = 0) -> np.ndarray:
 
     When fewer than half of the words are nonzero, only those words are
     unpacked, and each bit is moved from its place among them to its word.
+    A caller that wants the clear bits passes an inverted copy of the words
+    with the bits past the last rank cleared.
     """
     sparse = 2 * np.count_nonzero(words) < words.size
     if sparse:

@@ -17,13 +17,17 @@ directions (direction-optimizing BFS: Beamer, Asanovic & Patterson, SC
 - top-down, :func:`_fresh_neighbors` takes the frontier's set bits block by
   block, ranks every neighbor of each and keeps those not visited;
 - bottom-up, :func:`_frontier_children` takes the *clear* bits of the
-  visited set block by block (each block's bits are unpacked once and
-  inverted in place, and bits past the last rank are never unpacked), ranks
-  each vertex's flips in ascending order and stops at the first that lands
-  in the frontier. A chunk ends once every row has matched, and a flip that
+  visited set block by block, as the set bits of an inverted copy of the
+  block whose bits past the last rank are cleared, ranks each vertex's
+  flips in ascending order and stops at the first that lands in the
+  frontier. A chunk ends once every row has matched, and a flip that
   matches a quarter of the rows left moves the others to the front of the
   batch and of the ranking state's own buffers, so that the later flips
   rank only them.
+
+Both directions extract a block's ranks with
+:func:`~pancakes._kernels.bitset_extract_ranks`, and skip a block with no
+set bit.
 
 A layer goes bottom-up when the frontier fills at least one chunk and holds
 more vertices than are left unvisited, both known from the layer counts
@@ -31,13 +35,14 @@ before the layer is built, so fresh and resumed searches choose alike. Late
 in the search most unvisited vertices are one flip from the frontier, and
 bottom-up ranks far fewer neighbors: 17.3M instead of 32.7M at P_10. A
 frontier below one chunk costs one kernel call per flip either way, so the
-chunk gate keeps small layers, and small graphs, top-down. A bottom-up step
-holds what a top-down one does: one extracted block of ranks (one byte per
-bit of the block while it is unpacked, and an int64 per rank), the chunk's
-batch and ranking state, and per-flip arrays no wider than top-down's. The
-popcount of the merged candidate bits is the next layer count. One
-generator runs the layers for fresh, checkpointed and resumed profiles
-alike.
+chunk gate keeps small layers, and small graphs, top-down. A step in
+either direction holds one extracted block of ranks (one byte per bit of
+the block while it is unpacked, and an int64 per rank), the chunk's batch
+and ranking state, and per-flip arrays, bottom-up's no wider than
+top-down's; a bottom-up step also holds its block's inverted copy, 8 bytes
+a word, while the block is extracted. The popcount of the merged candidate
+bits is the next layer count. One generator runs the layers for fresh,
+checkpointed and resumed profiles alike.
 
 The ball engine counts only the first K layers, in memory that grows with
 those layers instead of with the graph (frontier search: Korf, Zhang,
@@ -110,7 +115,9 @@ MEMORY_LIMIT_ENV = "PANCAKE_MEM_LIMIT"
 # ranks processed per kernel call; at 1 << 18 a chunk's buffers outgrow a
 # 4 MB L2 cache and a P_10 profile ran about 9% slower
 _CHUNK = 1 << 16
-_BLOCK_WORDS = 1 << 15  # frontier words scanned per extraction
+# bitset words scanned per extraction: frontier words top-down, visited
+# words bottom-up
+_BLOCK_WORDS = 1 << 15
 # a bottom-up flip that matches at least 1/_COMPACT of a chunk's rows left
 # drops them from the batch
 _COMPACT = 4
@@ -202,7 +209,8 @@ def required_memory(
     or reading a checkpoint between layers, plus the checksum tables that a
     checkpoint leaves cached for both. A layer built bottom-up holds the
     same bitsets as one built top-down, and its per-worker buffers fit the
-    same per-rank and per-bit charges, so one estimate covers both
+    same per-rank and per-bit charges; the per-word extraction charge holds
+    the inverted copy of a bottom-up block. So one estimate covers both
     directions.
 
     ``with_layer_map`` adds three bitsets that keep every layer by its index
@@ -220,10 +228,11 @@ def required_memory(
     bitsets = (2 + workers + 3 * with_layer_map) * 8 * nwords
     buffers = workers * _chunk_bytes(graph, size)
     # per-worker extraction of one block: unpackbits' byte per bit plus
-    # flatnonzero's int64 per set bit of the frontier (a block under half
-    # nonzero words unpacks only those, at most 1,049 bytes per nonzero
-    # word), or per clear bit of visited, unpacked and inverted in place
-    extraction = workers * 9 * 64 * min(_BLOCK_WORDS, nwords)
+    # flatnonzero's int64 per set bit (a block under half nonzero words
+    # unpacks only those, at most 1,049 bytes per nonzero word), of the
+    # frontier's words or, bottom-up, of an inverted copy of visited's,
+    # 8 bytes per word while it is extracted
+    extraction = workers * (9 * 64 + 8) * min(_BLOCK_WORDS, nwords)
     # bitset_popcount: np.bitwise_count's uint8 per frontier word, and the
     # buffer in which sum() casts them to uint64, np.getbufsize() at most
     popcount = nwords + 8 * min(nwords, np.getbufsize())
@@ -336,24 +345,6 @@ def _frontier_children(
         del perms, rows  # before the next chunk is unranked
 
 
-def _unvisited_ranks(visited: np.ndarray, lo: int, hi: int, size: int) -> np.ndarray:
-    """Ranks below ``size`` whose bits in words [lo, hi) of ``visited`` are clear.
-
-    The words are unpacked once, one byte per bit up to bit ``size``, and
-    those bytes are inverted in place: there is no inverted copy of the
-    words, and no bit past the graph's last rank is read.
-    """
-    bits = np.unpackbits(
-        visited[lo:hi].view(np.uint8), count=min(64 * (hi - lo), size - 64 * lo), bitorder="little"
-    )
-    clear = bits.view(np.bool_)  # the unpacked bytes are 0 or 1
-    np.logical_not(clear, out=clear)
-    ranks = np.flatnonzero(clear)
-    del bits, clear
-    ranks += 64 * lo
-    return ranks
-
-
 def _expand_span(
     graph: PancakeGraph,
     visited: np.ndarray,
@@ -372,13 +363,21 @@ def _expand_span(
     for block in range(lo, hi, _BLOCK_WORDS):
         top = min(block + _BLOCK_WORDS, hi)
         if bottom_up:
-            ranks = _unvisited_ranks(visited, block, top, graph.size)
-            found = _frontier_children(graph, ranks, frontier)
+            # the unvisited ranks are the set bits of an inverted copy whose
+            # bits past the graph's last rank are cleared
+            span = np.invert(visited[block:top])
+            used = graph.size - 64 * (top - 1)  # bits of the last word that are ranks
+            if used < 64:
+                span[-1] &= (1 << used) - 1
         else:
             span = frontier[block:top]
-            if not span.any():
-                continue
-            ranks = K.bitset_extract_ranks(span, word_offset=block)
+        if not span.any():
+            continue
+        ranks = K.bitset_extract_ranks(span, word_offset=block)
+        del span
+        if bottom_up:
+            found = _frontier_children(graph, ranks, frontier)
+        else:
             found = _fresh_neighbors(graph, ranks, lambda r: K.bitset_test(visited, r))
         for new in found:
             # one flip of distinct ranks, or distinct ranks of their own: no

@@ -355,6 +355,24 @@ class TestFlipRanks:
         with pytest.raises(ValueError, match="another batch"):
             K.batch_rank(K.batch_unrank(n, ranks), 5, state)
 
+    def test_batch_rank_refuses_a_flip_without_its_state(self):
+        # a flip without a state would rank the unflipped rows, and a state
+        # without a flip would fail inside the step loop
+        n = 6
+        ranks = np.arange(50, dtype=np.int64)
+        perms = K.batch_unrank(n, ranks)
+        state = K.FlipRanks(n, 50)
+        state.load(perms, ranks)
+        with pytest.raises(ValueError, match="needs the state"):
+            K.batch_rank(perms, 3)
+        with pytest.raises(ValueError, match="no flip was given"):
+            K.batch_rank(perms, None, state)
+        with pytest.raises(ValueError, match="no flip was given"):
+            K.batch_rank(perms, state=state)
+        # both valid forms still rank
+        assert np.array_equal(K.batch_rank(perms), ranks)
+        assert np.array_equal(K.batch_rank(perms, 3, state), K.batch_rank(K.batch_flip(perms, 3)))
+
     @pytest.mark.parametrize("signed", [False, True])
     def test_refuses_a_batch_that_is_not_uint8(self, signed):
         # a signed int8 batch would be ranked as if its entries were unsigned

@@ -314,6 +314,50 @@ class TestDirections:
         if g.size >= 384:
             assert full_blocks > len(blocks)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind,n", DIRECTION_GRAPHS)
+    def test_every_unranked_vertex_was_extracted_once(self, monkeypatch, kind, n, workers):
+        # both directions take a block's ranks from bitset_extract_ranks, and
+        # unrank each of them once: top-down the frontier's, bottom-up the
+        # unvisited ones. A burnt chunk unranks its ranks shifted right by n
+        g = graph(kind, n)
+        shift = n if kind is BURNT else 0
+        totals = {"extracted": [0, 0], "unranked": [0, 0]}
+        lock = threading.Lock()
+
+        def add(name, ranks):
+            with lock:
+                totals[name][0] += ranks.size
+                totals[name][1] += int(ranks.sum())
+
+        extract, unrank = _kernels.bitset_extract_ranks, _kernels.batch_unrank
+
+        def extracting(*args, **kwargs):
+            ranks = extract(*args, **kwargs)
+            add("extracted", ranks >> shift)
+            return ranks
+
+        def unranking(n, ranks):
+            add("unranked", ranks)
+            return unrank(n, ranks)
+
+        monkeypatch.setattr(_kernels, "bitset_extract_ranks", extracting)
+        monkeypatch.setattr(_kernels, "batch_unrank", unranking)
+        # as in test_bottom_up_finds_the_top_down_layer: small chunks send the
+        # late layers bottom-up, and small blocks split them
+        chunk, block_words = (5, 3) if g.size < 10_000 else (401, 16)
+        monkeypatch.setattr(search, "_CHUNK", chunk)
+        monkeypatch.setattr(search, "_BLOCK_WORDS", block_words)
+        profile = layer_profile(g, workers=workers)
+        assert profile.counts == tuple(naive_layer_counts(n, burnt=kind is BURNT))
+        assert totals["extracted"] == totals["unranked"]
+        # expanding a layer extracts its vertices top-down, and bottom-up the
+        # vertices still unvisited after it
+        bottom_up = bottom_up_layers(g, profile.counts, chunk)
+        unvisited = [g.size - sum(profile.counts[: k + 1]) for k in bottom_up]
+        top_down = [c for k, c in enumerate(profile.counts) if k not in bottom_up]
+        assert totals["extracted"][0] == sum(top_down) + sum(unvisited)
+
     @pytest.mark.parametrize(
         "kind, n, expected", [(PLAIN, 10, [9, 10, 11]), (BURNT, 8, [10, 11, 12])]
     )
