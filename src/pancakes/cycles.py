@@ -8,20 +8,21 @@ canonical form: the lexicographically maximal flip-label sequence over all
 rotations of either traversal direction.
 
 The known classification results give parameterized label templates for every
-cycle of lengths 6-9 (plain) and 8-9 (burnt). ``match_form`` identifies which
-template family a canonical form instantiates; ``verify_classification``
-machine-checks a classification exhaustively: it enumerates all L-cycles in a
-concrete graph and reports any whose form no family produces.
-
-Template label sequences are compared after canonicalization — several
-published templates are written in a structurally convenient rotation rather
-than the lexicographically maximal one.
+cycle of lengths 6-9 (plain) and 8-9 (burnt). Each family in ``FAMILIES`` is
+its printed template, e.g. "k j i j k k-j+i i k-j+i", plus its parameter range
+written as one inequality. ``match_form`` reads k as a form's largest label and
+looks the form up among the canonicalized instances with that k; where several
+instances share a form, the first in table order (family id, then i, then j)
+names it. ``verify_classification`` machine-checks a classification
+exhaustively: it enumerates all L-cycles in a concrete graph and reports any
+whose form no family produces.
 """
 
 from __future__ import annotations
 
-import inspect
+import functools
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -120,29 +121,56 @@ class _Unmatched:
 UNMATCHED = _Unmatched()
 
 
+@functools.cache
+def _parse(signature: str) -> tuple[tuple[tuple[int, str | int], ...], ...]:
+    """Each label of a template as its signed terms: parameter names or constants.
+
+    >>> _parse("k-j+i 2")
+    (((1, 'k'), (-1, 'j'), (1, 'i')), ((1, 2),))
+    """
+    return tuple(
+        tuple(
+            (-1 if sign == "-" else 1, int(atom) if atom.isdigit() else atom)
+            for sign, atom in zip(["+", *parts[1::2]], parts[::2])
+        )
+        for parts in (re.split("([+-])", token) for token in signature.split())
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class CycleFamily:
-    """A parameterized canonical-form template, e.g. (k, k-1, k, k-1, k-2, k, 2).
+    """A parameterized label template, e.g. "k k-1 k k-1 k-2 k 2".
 
-    ``build`` instantiates the label sequence from a parameter dict.
-    ``where`` is the family's parameter range as one inequality: it takes
-    ``build``'s parameters by name and always ``k``, e.g.
-    ``lambda i, j, k: 2 <= i < j <= k - 1``. ``instances(k)`` yields, i
-    outermost, every dict of ``build``'s parameters with values in 1..k that
-    satisfies ``where``; the largest label always equals the parameter k,
-    which is how matching recovers it from a form.
+    ``signature`` is the template as the classification prints it: one
+    token per label, each a sum of the parameters i, j, k and integer
+    constants. It is the only copy of the template; ``length`` and
+    ``build`` are read from it. ``where`` is the family's parameter range as
+    one inequality: it takes the signature's parameters by name and always
+    ``k``, e.g. ``lambda i, j, k: 2 <= i < j <= k - 1``. ``instances(k)``
+    yields, i outermost, every dict of the signature's parameters with
+    values in 1..k that satisfies ``where``; the largest label always equals
+    the parameter k, which is how matching recovers it from a form.
     """
 
     id: int
     kind: GraphKind
-    length: int
     signature: str
-    build: Callable[..., tuple[int, ...]]
     where: Callable[..., bool]
+
+    @property
+    def length(self) -> int:
+        return len(self.signature.split())
+
+    def build(self, **params: int) -> tuple[int, ...]:
+        """The template's labels at these parameter values."""
+        return tuple(
+            sum(s * (params[a] if isinstance(a, str) else a) for s, a in label)
+            for label in _parse(self.signature)
+        )
 
     def instances(self, k: int) -> Iterator[dict[str, int]]:
         """Every in-range parameter dict whose largest label is ``k``."""
-        names = inspect.signature(self.build).parameters
+        names = sorted(set(re.findall("[a-z]", self.signature)))
         free = [name for name in names if name != "k"]
         fixed = {"k": k} if "k" in names else {}
         for values in itertools.product(range(1, k + 1), repeat=len(free)):
@@ -161,177 +189,85 @@ _BURNT = GraphKind.BURNT
 
 FAMILIES: tuple[CycleFamily, ...] = (
     # -- plain 6-cycles ------------------------------------------------------
-    CycleFamily(
-        1, _PLAIN, 6, "3 2 3 2 3 2",
-        lambda: (3, 2, 3, 2, 3, 2),
-        lambda k: k == 3,
-    ),
+    CycleFamily(1, _PLAIN, "3 2 3 2 3 2", lambda k: k == 3),
     # -- plain 7-cycles ------------------------------------------------------
-    CycleFamily(
-        2, _PLAIN, 7, "k k-1 k k-1 k-2 k 2",
-        lambda k: (k, k - 1, k, k - 1, k - 2, k, 2),
-        lambda k: k >= 4,
-    ),
+    CycleFamily(2, _PLAIN, "k k-1 k k-1 k-2 k 2", lambda k: k >= 4),
     # -- plain 8-cycles ------------------------------------------------------
-    CycleFamily(
-        3, _PLAIN, 8, "k j i j k k-j+i i k-j+i",
-        lambda i, j, k: (k, j, i, j, k, k - j + i, i, k - j + i),
-        lambda i, j, k: 2 <= i < j <= k - 1,
-    ),
-    CycleFamily(
-        4, _PLAIN, 8, "k k-1 2 k-1 k 2 3 2",
-        lambda k: (k, k - 1, 2, k - 1, k, 2, 3, 2),
-        lambda k: k >= 4,
-    ),
-    CycleFamily(
-        5, _PLAIN, 8, "k k-i k-1 i k k-i k-1 i",
-        lambda i, k: (k, k - i, k - 1, i, k, k - i, k - 1, i),
-        lambda i, k: 2 <= i <= k - 2,
-    ),
-    CycleFamily(
-        6, _PLAIN, 8, "k k-i+1 k i k k-i k-1 i-1",
-        lambda i, k: (k, k - i + 1, k, i, k, k - i, k - 1, i - 1),
-        lambda i, k: 3 <= i <= k - 2,
-    ),
-    CycleFamily(
-        7, _PLAIN, 8, "k k-1 i-1 k k-i+1 k-i k i",
-        lambda i, k: (k, k - 1, i - 1, k, k - i + 1, k - i, k, i),
-        lambda i, k: 3 <= i <= k - 2,
-    ),
-    CycleFamily(
-        8, _PLAIN, 8, "k k-1 k k-i k-i-1 k i i+1",
-        lambda i, k: (k, k - 1, k, k - i, k - i - 1, k, i, i + 1),
-        lambda i, k: 2 <= i <= k - 3,
-    ),
-    CycleFamily(
-        9, _PLAIN, 8, "k k-j+1 k i k k-j+1 k i",
-        lambda i, j, k: (k, k - j + 1, k, i, k, k - j + 1, k, i),
-        lambda i, j, k: 2 <= i < j <= k - 1,
-    ),
-    CycleFamily(
-        10, _PLAIN, 8, "4 3 4 3 4 3 4 3",
-        lambda: (4, 3, 4, 3, 4, 3, 4, 3),
-        lambda k: k == 4,
-    ),
+    CycleFamily(3, _PLAIN, "k j i j k k-j+i i k-j+i", lambda i, j, k: 2 <= i < j <= k - 1),
+    CycleFamily(4, _PLAIN, "k k-1 2 k-1 k 2 3 2", lambda k: k >= 4),
+    CycleFamily(5, _PLAIN, "k k-i k-1 i k k-i k-1 i", lambda i, k: 2 <= i <= k - 2),
+    CycleFamily(6, _PLAIN, "k k-i+1 k i k k-i k-1 i-1", lambda i, k: 3 <= i <= k - 2),
+    CycleFamily(7, _PLAIN, "k k-1 i-1 k k-i+1 k-i k i", lambda i, k: 3 <= i <= k - 2),
+    CycleFamily(8, _PLAIN, "k k-1 k k-i k-i-1 k i i+1", lambda i, k: 2 <= i <= k - 3),
+    CycleFamily(9, _PLAIN, "k k-j+1 k i k k-j+1 k i", lambda i, j, k: 2 <= i < j <= k - 1),
+    CycleFamily(10, _PLAIN, "4 3 4 3 4 3 4 3", lambda k: k == 4),
     # -- plain 9-cycles ------------------------------------------------------
-    CycleFamily(
-        11, _PLAIN, 9, "k k-1 i k-1 k i i-1 i+1 2",
-        lambda i, k: (k, k - 1, i, k - 1, k, i, i - 1, i + 1, 2),
-        lambda i, k: 3 <= i <= k - 2,
-    ),
-    CycleFamily(
-        12, _PLAIN, 9, "2 k-i+2 k i-2 i-1 i i-1 k k-i+2",
-        lambda i, k: (2, k - i + 2, k, i - 2, i - 1, i, i - 1, k, k - i + 2),
-        lambda i, k: 4 <= i <= k - 1,
-    ),
-    CycleFamily(
-        13, _PLAIN, 9, "k k-i k-1 k-j+i-1 k-j k j-i+1 j i",
-        lambda i, j, k: (k, k - i, k - 1, k - j + i - 1, k - j, k, j - i + 1, j, i),
-        lambda i, j, k: 2 <= i < j <= k - 2,
-    ),
-    CycleFamily(
-        14, _PLAIN, 9, "k k-1 i i-1 k-1 k i i+1 2",
-        lambda i, k: (k, k - 1, i, i - 1, k - 1, k, i, i + 1, 2),
-        lambda i, k: 3 <= i <= k - 2,
-    ),
-    CycleFamily(
-        15, _PLAIN, 9, "k k-1 k-2 k-1 k-2 k 3 k k-2",
-        lambda k: (k, k - 1, k - 2, k - 1, k - 2, k, 3, k, k - 2),
-        lambda k: k >= 4,
-    ),
-    CycleFamily(
-        16, _PLAIN, 9, "k k-1 k-2 i k 2 k i k-1",
-        lambda i, k: (k, k - 1, k - 2, i, k, 2, k, i, k - 1),
-        lambda i, k: 2 <= i <= k - 3,
-    ),
-    CycleFamily(
-        17, _PLAIN, 9, "k k-j+i k j i k k-j k-i j-i",
-        lambda i, j, k: (k, k - j + i, k, j, i, k, k - j, k - i, j - i),
-        lambda i, j, k: 2 <= i <= j - 2 <= k - 4,
-    ),
-    CycleFamily(
-        18, _PLAIN, 9, "k k-j+i k-j k j i k k-i j-i",
-        lambda i, j, k: (k, k - j + i, k - j, k, j, i, k, k - i, j - i),
-        lambda i, j, k: 2 <= i <= j - 2 <= k - 4,
-    ),
-    CycleFamily(
-        19, _PLAIN, 9, "k k-j+i k-j+1 k j i k k-i+1 j-i+1",
-        lambda i, j, k: (k, k - j + i, k - j + 1, k, j, i, k, k - i + 1, j - i + 1),
-        lambda i, j, k: 2 <= i < j <= k - 1,
-    ),
-    CycleFamily(
-        20, _PLAIN, 9, "k k-1 k k-1 k k-1 k-3 k 3",
-        lambda k: (k, k - 1, k, k - 1, k, k - 1, k - 3, k, 3),
-        lambda k: k >= 5,
-    ),
+    CycleFamily(11, _PLAIN, "k k-1 i k-1 k i i-1 i+1 2", lambda i, k: 3 <= i <= k - 2),
+    CycleFamily(12, _PLAIN, "2 k-i+2 k i-2 i-1 i i-1 k k-i+2", lambda i, k: 4 <= i <= k - 1),
+    CycleFamily(13, _PLAIN, "k k-i k-1 k-j+i-1 k-j k j-i+1 j i", lambda i, j, k: 2 <= i < j <= k - 2),
+    CycleFamily(14, _PLAIN, "k k-1 i i-1 k-1 k i i+1 2", lambda i, k: 3 <= i <= k - 2),
+    CycleFamily(15, _PLAIN, "k k-1 k-2 k-1 k-2 k 3 k k-2", lambda k: k >= 4),
+    CycleFamily(16, _PLAIN, "k k-1 k-2 i k 2 k i k-1", lambda i, k: 2 <= i <= k - 3),
+    CycleFamily(17, _PLAIN, "k k-j+i k j i k k-j k-i j-i", lambda i, j, k: 2 <= i <= j - 2 <= k - 4),
+    CycleFamily(18, _PLAIN, "k k-j+i k-j k j i k k-i j-i", lambda i, j, k: 2 <= i <= j - 2 <= k - 4),
+    CycleFamily(19, _PLAIN, "k k-j+i k-j+1 k j i k k-i+1 j-i+1", lambda i, j, k: 2 <= i < j <= k - 1),
+    CycleFamily(20, _PLAIN, "k k-1 k k-1 k k-1 k-3 k 3", lambda k: k >= 5),
     # -- burnt 8-cycles ------------------------------------------------------
-    CycleFamily(
-        23, _BURNT, 8, "k j i j k k-j+i i k-j+i",
-        lambda i, j, k: (k, j, i, j, k, k - j + i, i, k - j + i),
-        lambda i, j, k: 1 <= i < j <= k - 1,
-    ),
-    CycleFamily(
-        24, _BURNT, 8, "k j k i k j k i",
-        lambda i, j, k: (k, j, k, i, k, j, k, i),
-        lambda i, j, k: min(i, j) >= 2 and i + j <= k,
-    ),
-    CycleFamily(
-        25, _BURNT, 8, "k i k 1 k i k 1",
-        lambda i, k: (k, i, k, 1, k, i, k, 1),
-        lambda i, k: 2 <= i <= k - 1,
-    ),
-    CycleFamily(
-        26, _BURNT, 8, "k 1 k 1 k 1 k 1",
-        lambda k: (k, 1, k, 1, k, 1, k, 1),
-        lambda k: k >= 2,
-    ),
+    CycleFamily(23, _BURNT, "k j i j k k-j+i i k-j+i", lambda i, j, k: 1 <= i < j <= k - 1),
+    CycleFamily(24, _BURNT, "k j k i k j k i", lambda i, j, k: min(i, j) >= 2 and i + j <= k),
+    CycleFamily(25, _BURNT, "k i k 1 k i k 1", lambda i, k: 2 <= i <= k - 1),
+    CycleFamily(26, _BURNT, "k 1 k 1 k 1 k 1", lambda k: k >= 2),
     # -- burnt 9-cycles ------------------------------------------------------
-    CycleFamily(
-        27, _BURNT, 9, "k k-i k k-j k-i-j k j i+j i",
-        lambda i, j, k: (k, k - i, k, k - j, k - i - j, k, j, i + j, i),
-        lambda i, j, k: min(i, j) >= 1 and i + j <= k - 1,
-    ),
-    CycleFamily(
-        28, _BURNT, 9, "k i+j i k k-i j k k-j k-i-j",
-        lambda i, j, k: (k, i + j, i, k, k - i, j, k, k - j, k - i - j),
-        lambda i, j, k: min(i, j) >= 1 and i + j <= k - 1,
-    ),
+    CycleFamily(27, _BURNT, "k k-i k k-j k-i-j k j i+j i", lambda i, j, k: min(i, j) >= 1 and i + j <= k - 1),
+    CycleFamily(28, _BURNT, "k i+j i k k-i j k k-j k-i-j", lambda i, j, k: min(i, j) >= 1 and i + j <= k - 1),
 )
 
 
 def families_for(kind: GraphKind, length: int) -> tuple[CycleFamily, ...]:
     """All template families for this graph kind and cycle length, by id.
 
-    Classifications exist for lengths 6-9 (plain) and 8-9 (burnt); other
-    lengths raise UnsupportedLengthError.
+    Classifications exist for the lengths ``FAMILIES`` covers: 6-9 (plain)
+    and 8-9 (burnt); other lengths raise UnsupportedLengthError.
     """
-    supported = {6, 7, 8, 9} if kind is GraphKind.PLAIN else {8, 9}
+    supported = sorted({f.length for f in FAMILIES if f.kind is kind})
     if length not in supported:
         raise UnsupportedLengthError(
             f"no classification for {length}-cycles in {kind} graphs "
-            f"(supported: {sorted(supported)})"
+            f"(supported: {supported})"
         )
-    return tuple(
-        f for f in FAMILIES if f.kind is kind and f.length == length
-    )
+    return tuple(f for f in FAMILIES if f.kind is kind and f.length == length)
+
+
+@functools.cache
+def _matches(
+    kind: GraphKind, length: int, k: int
+) -> dict[tuple[int, ...], FamilyMatch]:
+    """Canonical form -> the first instance with largest label ``k`` giving it.
+
+    Instances are taken in table order (family id, then i, then j), so where
+    several share a form, the first of them names it. Each table, of O(k^2)
+    forms, is kept for the life of the process and only read by callers.
+    """
+    table: dict[tuple[int, ...], FamilyMatch] = {}
+    for family in families_for(kind, length):
+        for params in family.instances(k):
+            table.setdefault(
+                canonicalize(family.build(**params)),
+                FamilyMatch(family.id, tuple(sorted(params.items()))),
+            )
+    return table
 
 
 def match_form(form: Sequence[int], kind: GraphKind) -> FamilyMatch | _Unmatched:
     """Identify the family template instantiating a canonical form.
 
     The largest label of any template instance equals its parameter k, so k
-    is read off the form and only (i, j) need scanning. Template instances
-    are canonicalized before comparison. Returns UNMATCHED if no in-range
-    instance of any family reproduces the form.
+    is read off the form and the form is looked up among the canonicalized
+    instances with that k. Returns UNMATCHED if no in-range instance of any
+    family reproduces the form.
     """
     f = canonicalize(form)
-    families = families_for(kind, len(f))
-    k = max(f)
-    for family in families:
-        for params in family.instances(k):
-            if canonicalize(family.build(**params)) == f:
-                return FamilyMatch(family.id, tuple(sorted(params.items())))
-    return UNMATCHED
+    return _matches(kind, len(f), max(f)).get(f, UNMATCHED)
 
 
 def _flip_plain(entries: tuple[int, ...], i: int) -> tuple[int, ...]:

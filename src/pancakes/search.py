@@ -18,12 +18,15 @@ directions (direction-optimizing BFS: Beamer, Asanovic & Patterson, SC
   block, ranks every neighbor of each and keeps those not visited;
 - bottom-up, :func:`_frontier_children` takes the *clear* bits of the
   visited set block by block, as the set bits of an inverted copy of the
-  block whose bits past the last rank are cleared, ranks each vertex's
-  flips in ascending order and stops at the first that lands in the
-  frontier. A chunk ends once every row has matched, and a flip that
-  matches a quarter of the rows left moves the others to the front of the
-  batch and of the ranking state's own buffers, so that the later flips
-  rank only them.
+  block whose bits past the last rank are cleared, and ranks each vertex's
+  flips in ascending order, keeping it at every flip that lands in the
+  frontier while it stays in its chunk. A matched vertex stays until a
+  flip matches it together with at least a quarter of the rows left: that
+  flip drops those rows and moves the others to the front of the batch and
+  of the ranking state's own buffers, so that the later flips rank only
+  them. A chunk ends when one flip matches every row left, or after its
+  last flip. So a vertex can be found at several flips; its candidate bit
+  is set all the same.
 
 Both directions extract a block's ranks with
 :func:`~pancakes._kernels.bitset_extract_ranks`, and skip a block with no
@@ -307,14 +310,16 @@ def _frontier_children(
     graph: PancakeGraph, ranks: np.ndarray, frontier: np.ndarray
 ) -> Iterator[np.ndarray]:
     """For each chunk of the unvisited ``ranks`` and each flip, the ranks
-    whose flip lands in ``frontier`` and whose smaller flips did not.
+    left in the chunk whose flip lands in ``frontier``.
 
-    The bottom-up step of :func:`_expand_span`. Flips ascend and a row
-    leaves its chunk at its first match, so no rank is yielded twice, and
-    a chunk ends once every row has matched. A flip that matches at least
-    1/_COMPACT of the rows left moves the others to the front of the batch,
-    of the state's buffers and of their chunk of ``ranks``, which is
-    overwritten, so the later flips rank only them. As in
+    The bottom-up step of :func:`_expand_span`. Flips ascend, and a matched
+    row stays in its chunk, so later flips can yield its rank again, until
+    a flip that matches at least 1/_COMPACT of the rows left matches it
+    too. That flip moves the rows it missed to the front of the batch, of
+    the state's buffers and of their chunk of ``ranks``, which is
+    overwritten, so the later flips rank only them. A chunk ends when one
+    flip matches every row left, or after flip n. Each array holds distinct
+    ranks, but a rank can recur in a later array. As in
     :func:`_fresh_neighbors`, a caller drops each array before it asks for
     the next.
     """
@@ -380,8 +385,8 @@ def _expand_span(
         else:
             found = _fresh_neighbors(graph, ranks, lambda r: K.bitset_test(visited, r))
         for new in found:
-            # one flip of distinct ranks, or distinct ranks of their own: no
-            # rank repeats
+            # each array holds distinct ranks; a rank that recurs in a later
+            # bottom-up array finds its bit set, and bitset_add drops it
             if new.size:
                 K.bitset_add(cand, new)
             del new

@@ -6,13 +6,15 @@ hash-set BFS over tuples, and label-product cycle enumeration. Slow but
 obviously correct at the small sizes the tests use. The exceptions are the
 package's own earlier algorithms, kept to check that their replacements
 return exactly the same results: ``dfs_cycles_reference``, the depth-L cycle
-enumeration, ``bfs_walk_reference``, the bitset-BFS distance query, and
-``con63_rhs_reference`` and ``fit_newton_reference``, the binomial double
+enumeration, ``match_form_reference``, the family-by-family scan of the
+cycle classification, ``bfs_walk_reference``, the bitset-BFS distance
+query, and ``con63_rhs_reference`` and ``fit_newton_reference``, the binomial double
 sum and the difference loop of the formula checks.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 from collections import deque
@@ -21,7 +23,16 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from pancakes import _kernels as K
-from pancakes.cycles import Cycle, _flip_burnt, _flip_plain, canonicalize
+from pancakes.cycles import (
+    FAMILIES,
+    UNMATCHED,
+    Cycle,
+    FamilyMatch,
+    _Unmatched,
+    _flip_burnt,
+    _flip_plain,
+    canonicalize,
+)
 from pancakes.formulas import (
     FitError,
     IdentityReport,
@@ -187,6 +198,34 @@ def brute_force_cycles(n: int, burnt: bool, L: int) -> set[tuple[tuple[int, ...]
         if ok:
             found.add((canonical_form(labels), tuple(sorted(interior))))
     return found
+
+
+def match_form_reference(form: tuple[int, ...], kind: GraphKind) -> FamilyMatch | _Unmatched:
+    """The first family instance whose labels canonicalize to ``form``, by a scan.
+
+    The classification matcher ``match_form`` used before it looked forms up
+    in a table: families by id, parameters i outermost, the first instance
+    that reproduces the form wins. Here the parameters are the argument
+    names of each family's ``where`` and the labels are the signature's
+    tokens evaluated as Python expressions, so nothing is shared with the
+    package's template parser or its lookup table.
+    """
+    f = canonical_form(tuple(form))
+    k = max(f)
+    for family in FAMILIES:
+        tokens = family.signature.split(" ")
+        if family.kind is not kind or len(tokens) != len(f):
+            continue
+        free = [name for name in inspect.signature(family.where).parameters if name != "k"]
+        for values in itertools.product(range(1, k + 1), repeat=len(free)):
+            params = dict(zip(free, values), k=k)
+            if not family.where(**params):
+                continue
+            labels = tuple(eval(token, {"__builtins__": {}}, params) for token in tokens)
+            if canonical_form(labels) == f:
+                named = [(name, v) for name, v in params.items() if name in family.signature]
+                return FamilyMatch(family.id, tuple(sorted(named)))
+    return UNMATCHED
 
 
 def dfs_cycles_reference(graph: PancakeGraph, length: int) -> list[Cycle]:

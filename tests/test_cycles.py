@@ -5,7 +5,12 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import brute_force_cycles, canonical_form, dfs_cycles_reference
+from oracles import (
+    brute_force_cycles,
+    canonical_form,
+    dfs_cycles_reference,
+    match_form_reference,
+)
 from pancakes.cycles import (
     FAMILIES,
     UNMATCHED,
@@ -294,6 +299,34 @@ class TestMatchForm:
         assert m is not UNMATCHED
         assert m.family_id in (27, 28)
 
+
+    @pytest.mark.parametrize(
+        "kind,ns,lengths",
+        [(PLAIN, range(4, 9), range(6, 10)), (BURNT, range(2, 7), (8, 9))],
+    )
+    def test_agrees_with_family_scan_on_census_forms(self, kind, ns, lengths):
+        # every distinct form of these censuses, and each with one label
+        # changed, is named by the same family and parameters as a scan of
+        # the families in table order, or unmatched by both
+        forms = {
+            c.labels
+            for n in ns
+            for length in lengths
+            for c in enumerate_cycles(graph(kind, n), length)
+        }
+        for form in sorted(forms):
+            p = sum(form) % len(form)
+            changed = form[:p] + (form[p] % max(form) + 1,) + form[p + 1 :]
+            for f in (form, changed):
+                assert match_form(f, kind) == match_form_reference(f, kind), f
+
+    def test_agrees_with_family_scan_on_every_instance(self):
+        for fam in FAMILIES:
+            for params in fam.all_instances(10):
+                form = canonicalize(fam.build(**params))
+                expected = match_form_reference(form, fam.kind)
+                assert expected is not UNMATCHED, (fam.id, params)
+                assert match_form(form, fam.kind) == expected, (fam.id, params)
 
 class TestVerifyClassification:
     @pytest.mark.parametrize(
