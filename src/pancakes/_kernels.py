@@ -14,25 +14,28 @@ contiguous and every per-position step is one vector operation on a
 contiguous row. The kernels accept batches in either memory order.
 
 Ranking is done by :class:`FlipRanks`. The search ranks every flip of a
-batch, in ascending flip order, from one per-batch state: flip i keeps
-Lehmer digits i..n-1 and their share of the rank (the *tail*, the parent
-rank mod (n - i)!), and each step of i updates the digits of the flipped
-prefix with one comparison per entry before it. That is O(n^2) vector
-operations for all n - 1 or n flips of a rank, where flipping a copy and
-ranking it anew cost O(n^2) per flip. A state takes one kind of batch: the
-unsigned uint8 rows and their int64 ranks, signed ranks for a signed state,
-which reads the signs from the ranks; the search unranks a signed chunk's
-unsigned parts (its ranks shifted right by n) with :func:`batch_unrank`.
+chunk, in ascending flip order, from one state: flip i keeps Lehmer digits
+i..n-1 and their share of the rank (the *tail*, the parent rank mod
+(n - i)!), and each step of i updates the digits of the flipped prefix
+with one comparison per entry before it. That is O(n^2) vector operations
+for all n - 1 or n flips of a rank, where flipping a copy and ranking it
+anew cost O(n^2) per flip. The state owns its chunk: :meth:`FlipRanks.load`
+takes the int64 ranks, signed for a signed state, unranks them into
+unsigned uint8 rows with :func:`batch_unrank` (a signed rank's unsigned
+part is the rank shifted right by n; the state reads the signs from the
+ranks) and returns that batch, and it holds one batch at a time.
 :func:`batch_rank` with a state is the one stateful entry, for both kinds.
 With one argument, :func:`batch_rank` and :func:`batch_srank` rank a batch
 whole by plain Lehmer counts (each digit the count of smaller entries after
 its position, folded by Horner's rule) and build no state.
 
-Flips ascend, so a caller can stop a row early: the bottom-up search drops
-each row at its first flip that lands in the frontier. Between flips,
-:meth:`FlipRanks.compact` moves the rows left to the front of the batch's
-and the state's own buffers, allocating nothing the size of the batch, and
-the later flips rank only those rows.
+Flips ascend, so a caller can drop rows between flips: the bottom-up search
+drops the rows whose flip lands in the frontier once they are at least a
+quarter of the rows left. A row matched by a flip that drops none stays in
+the batch and can match again. :meth:`FlipRanks.compact` moves the rows
+left and their ranks to the front of the batch's, the ranks' and the
+state's own buffers, allocating nothing the size of the batch, and the
+later flips rank only those rows.
 
 Each per-position step runs in the narrowest dtype that holds its values,
 and ranks are widened to int64 once, where a kernel returns. Lehmer ranks
@@ -98,7 +101,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-import weakref
 
 import numpy as np
 
@@ -224,10 +226,10 @@ class FlipRanks:
     one doubling and one OR per step. So ranking all n flips costs O(n^2)
     per rank, where ranking each flip anew cost O(n^2) per flip.
 
-    The buffers hold ``rows`` ranks and are reused for each batch that
+    The buffers hold ``rows`` ranks and are reused for each chunk that
     :meth:`load` brings in, so a search allocates them once per run of
     chunks. The int64 ranks a call returns are one of them, overwritten by
-    the next call.
+    the next call. ``ranks`` holds the ranks of the batch's rows, in order.
     """
 
     def __init__(self, n: int, rows: int, *, signed: bool = False) -> None:
@@ -248,22 +250,25 @@ class FlipRanks:
         # the wide Horner sum of rank() and the tail steps of _advance(); an
         # int64 sum is the result itself
         self._sum_buf = self._out_buf if wide is np.int64 else np.empty(rows, dtype=wide)
-        self._batch = None
+        self._batch = self.ranks = None
 
-    def load(self, perms: np.ndarray, ranks: np.ndarray) -> None:
-        """Take the batch ``perms`` and its ``ranks``; flip 0 is next.
+    def load(self, ranks: np.ndarray) -> np.ndarray:
+        """Unrank the chunk ``ranks`` and return its batch; flip 0 is next.
 
-        ``perms`` holds unsigned uint8 one-line rows, for a signed state
-        too: the state reads the signs from the signed ``ranks``.
+        The batch holds unsigned uint8 one-line rows, for a signed state
+        too: the state reads the signs from the signed ``ranks``. The
+        previous batch and ranks are dropped first, so only the caller's
+        references keep them alive while this one is unranked.
         """
-        if perms.dtype != np.uint8:
-            raise ValueError(f"a batch holds uint8 rows, not {perms.dtype}")
-        # a weak reference: the batch is freed when its caller drops it
-        self._batch, self._flip = weakref.ref(perms), 0
+        self._batch = self.ranks = None
+        n = self.n
+        perms = batch_unrank(n, ranks >> n if self.signed else ranks)
+        self._batch, self.ranks, self._flip = perms, ranks, 0
         self._fit(perms.shape[0])
         np.copyto(self._tail, ranks, casting="unsafe")  # the ranks fit
         if self.signed:
             self._word.fill(0)
+        return perms
 
     def _fit(self, m: int) -> None:
         """Point the views of the buffers at their first ``m`` rows."""
@@ -276,26 +281,23 @@ class FlipRanks:
         if self.signed:
             self._word = self._word_buf[:m]
 
-    def _check(self, perms: np.ndarray) -> None:
-        if self._batch is None or self._batch() is not perms:
-            raise ValueError("the state holds another batch; load this one first")
+    def compact(self, index: np.ndarray) -> np.ndarray:
+        """Keep only the rows ``index`` (ascending) of the loaded batch.
 
-    def compact(self, perms: np.ndarray, index: np.ndarray) -> np.ndarray:
-        """Keep only the rows ``index`` (ascending) of the loaded batch ``perms``.
-
-        The kept rows move to the front of the batch's own buffer, and their
-        prefix digits, tail and sign word to the front of the state's, so
-        the later flips rank only them. Nothing is allocated: each position
-        is gathered into the int64 result buffer, free until the next
-        :meth:`rank`, and copied back to the front of its own row. (A take
-        into the row itself would copy the row first, and twice as slowly.)
-        Returns the compacted batch, a view of the buffer of ``perms``,
-        which the later flips take in its place.
+        The kept rows move to the front of the batch's own buffer, their
+        ranks to the front of the buffer of the loaded ``ranks``, which is
+        overwritten, and their prefix digits, tail and sign word to the
+        front of the state's, so the later flips rank only them. Nothing is
+        allocated: each position is gathered into the int64 result buffer,
+        free until the next :meth:`rank`, and copied back to the front of
+        its own row. (A take into the row itself would copy the row first,
+        and twice as slowly.) Returns the compacted batch, a view of the
+        loaded batch's buffer, which the later flips take in its place;
+        ``ranks`` becomes the kept rows' ranks.
         """
-        self._check(perms)
         k = index.size
-        cols = perms.T
-        live = [*cols, *self._digits[: self._flip], self._tail]
+        cols = self._batch.T
+        live = [*cols, self.ranks, *self._digits[: self._flip], self._tail]
         if self.signed:
             live.append(self._word)
         for row in live:
@@ -304,9 +306,8 @@ class FlipRanks:
             np.take(row, index, out=gathered, mode="clip")
             np.copyto(row[:k], gathered)
         self._fit(k)
-        batch = cols[:, :k].T
-        self._batch = weakref.ref(batch)
-        return batch
+        self._batch, self.ranks = cols[:, :k].T, self.ranks[:k]
+        return self._batch
 
     def _advance(self, cols: np.ndarray, flip: int) -> None:
         """Step the digits, tail and word from the current flip to ``flip``;
@@ -346,7 +347,8 @@ class FlipRanks:
 
     def rank(self, perms: np.ndarray, flip: int) -> np.ndarray:
         """Ranks of the loaded batch ``perms`` with its first ``flip`` entries flipped."""
-        self._check(perms)
+        if perms is not self._batch:
+            raise ValueError("the state holds another batch; load this one first")
         if flip < self._flip:
             raise ValueError(f"flips must ascend: flip {flip} after flip {self._flip}")
         self._advance(perms.T, flip)

@@ -22,11 +22,13 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .graphs import GraphKind
-from .search import LayerProfile
 from .tables import known_counts
+
+if TYPE_CHECKING:  # annotations only: importing this module loads no engine
+    from .search import LayerProfile
 
 __all__ = [
     "FormulaStatus",

@@ -20,7 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-MAX_N = 127  # entries are stored one signed byte each in the search kernels
+# a signed entry -n fits the int8 windows of the whole-batch signed kernels
+# (batch_sunrank, batch_signed_flip, batch_srank), and n the u8 of a
+# checkpoint header. The layer search refuses plain n > 20 and burnt n > 16
+# sooner, where ranks outgrow int64; the queries take up to MAX_N
+MAX_N = 127
 
 __all__ = [
     "MAX_N",

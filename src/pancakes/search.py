@@ -1,12 +1,12 @@
 """Breadth-first layer profiles of pancake graphs, and single-stack queries.
 
 Two engines count the layers, with identical results. Both run the same
-chunk loops: each chunk of ranks is unranked into unsigned uint8 rows (the
-unsigned part of a signed rank is the rank shifted right by n), and one
-:class:`~pancakes._kernels.FlipRanks`, loaded with the rows and their ranks,
-ranks every flip of the chunk; a signed state reads the signs from the
-ranks. :func:`_chunk_bytes` charges the per-rank buffers of every such loop
-in both engines' memory estimates.
+chunk loops: one :class:`~pancakes._kernels.FlipRanks` loads each chunk of
+ranks, which it unranks into unsigned uint8 rows (the unsigned part of a
+signed rank is the rank shifted right by n; a signed state reads the signs
+from the ranks), and ranks every flip of the chunk. The loops keep only
+the flips. :func:`_chunk_bytes` charges the per-rank buffers of every such
+loop in both engines' memory estimates.
 
 The bitset engine searches the whole graph. The visited set and the current
 frontier are flat bit arrays indexed by permutation rank (BP_8 has ~10.3M
@@ -190,11 +190,11 @@ def _chunk_bytes(graph: PancakeGraph, ranks: int) -> int:
     # looked-up ranks) and setting fresh bits at most 18 (the int64 fresh
     # ranks, and bitset_add's int64 byte offsets, bits and held bytes).
     # Bottom-up, the frontier test's byte mask stays beside each of those
-    # steps, at most 19, and a compaction at most 17: the mask, an int64
-    # index of the rows kept and np.take's copy of the kept ranks, which
-    # overlap their source (the state gathers through its result buffer,
-    # allocating nothing). The last 2 bytes cover NumPy's casting buffers of
-    # np.getbufsize() elements in a full chunk
+    # steps, at most 19, and a compaction at most 9: the mask and an int64
+    # index of the rows kept (the state gathers the rows and their ranks
+    # through its result buffer, allocating nothing). The last 2 bytes
+    # cover NumPy's casting buffers of np.getbufsize() elements in a full
+    # chunk
     return min(_CHUNK, ranks) * (2 * graph.n + 48)
 
 
@@ -284,18 +284,15 @@ def _fresh_neighbors(
 ) -> Iterator[np.ndarray]:
     """For each chunk of ``ranks`` and each flip, the neighbor ranks not ``seen``.
 
-    One :class:`~pancakes._kernels.FlipRanks` ranks every flip of a chunk's
-    unsigned rows, in ascending order, and its buffers serve every chunk.
-    Nothing of one flip is alive while the next one is ranked
+    One :class:`~pancakes._kernels.FlipRanks` unranks each chunk and ranks
+    every flip of its rows, in ascending order; its buffers serve every
+    chunk. Nothing of one flip is alive while the next one is ranked
     (:func:`_chunk_bytes` counts on it), so a caller drops each array before
     it asks for the next.
     """
-    signed = graph.kind is GraphKind.BURNT
-    state = K.FlipRanks(graph.n, min(_CHUNK, ranks.size), signed=signed)
+    state = K.FlipRanks(graph.n, min(_CHUNK, ranks.size), signed=graph.kind is GraphKind.BURNT)
     for start in range(0, ranks.size, _CHUNK):
-        chunk = ranks[start : start + _CHUNK]
-        perms = K.batch_unrank(graph.n, chunk >> graph.n if signed else chunk)
-        state.load(perms, chunk)
+        perms = state.load(ranks[start : start + _CHUNK])
         for i in graph.flip_indices:
             neighbor_ranks = K.batch_rank(perms, i, state)
             old = seen(neighbor_ranks)
@@ -315,39 +312,34 @@ def _frontier_children(
     The bottom-up step of :func:`_expand_span`. Flips ascend, and a matched
     row stays in its chunk, so later flips can yield its rank again, until
     a flip that matches at least 1/_COMPACT of the rows left matches it
-    too. That flip moves the rows it missed to the front of the batch, of
-    the state's buffers and of their chunk of ``ranks``, which is
-    overwritten, so the later flips rank only them. A chunk ends when one
-    flip matches every row left, or after flip n. Each array holds distinct
-    ranks, but a rank can recur in a later array. As in
+    too. That flip has the state compact the rows it missed, with their
+    ranks in their chunk of ``ranks``, which is overwritten, so the later
+    flips rank only them and the state's ``ranks`` are theirs. A chunk ends
+    when one flip matches every row left, or after flip n. Each array holds
+    distinct ranks, but a rank can recur in a later array. As in
     :func:`_fresh_neighbors`, a caller drops each array before it asks for
     the next.
     """
-    signed = graph.kind is GraphKind.BURNT
-    state = K.FlipRanks(graph.n, min(_CHUNK, ranks.size), signed=signed)
+    state = K.FlipRanks(graph.n, min(_CHUNK, ranks.size), signed=graph.kind is GraphKind.BURNT)
     for start in range(0, ranks.size, _CHUNK):
-        rows = ranks[start : start + _CHUNK]
-        perms = K.batch_unrank(graph.n, rows >> graph.n if signed else rows)
-        state.load(perms, rows)
+        perms = state.load(ranks[start : start + _CHUNK])
         for i in graph.flip_indices:
             hit = K.bitset_test(frontier, K.batch_rank(perms, i, state))
             matched = np.count_nonzero(hit)
             if matched:
-                children = np.compress(hit, rows)
+                children = np.compress(hit, state.ranks)
                 yield children
                 del children
-            if matched == rows.size:
+            if matched == hit.size:
                 break
-            if i < graph.n and matched * _COMPACT >= rows.size:  # flip n is the last
+            if i < graph.n and matched * _COMPACT >= hit.size:  # flip n is the last
                 keep = np.flatnonzero(np.logical_not(hit, out=hit))
                 del hit
-                perms = state.compact(perms, keep)
-                np.take(rows, keep, out=rows[: keep.size])
-                rows = rows[: keep.size]
+                perms = state.compact(keep)
                 del keep
             else:
                 del hit
-        del perms, rows  # before the next chunk is unranked
+        del perms  # before the next chunk is unranked
 
 
 def _expand_span(

@@ -102,6 +102,12 @@ def test_cli_loads_the_traced_modules_but_not_formulas():
     assert "pancakes.formulas" not in loaded
 
 
+def test_formulas_loads_no_engine():
+    # LayerProfile is only an annotation of crosscheck's
+    loaded = run_python("import pancakes.formulas\n" + textwrap.dedent(LOADED))
+    assert "pancakes.search" not in loaded and "numpy" not in loaded
+
+
 def test_table_command_does_not_load_formulas():
     result = run_python(
         """

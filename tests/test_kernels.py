@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -217,19 +218,12 @@ class TestSignedKernels:
             assert np.array_equal(K.batch_signed_flip(K.batch_signed_flip(perms, i), i), perms)
 
 
-def unsigned_batch(n, ranks, signed):
-    """The uint8 rows a state loads with ``ranks``, as the search unranks a
-    chunk: a signed rank's unsigned part is its rank shifted right by n."""
-    return K.batch_unrank(n, ranks >> n if signed else ranks)
-
-
 def flip_ranks(n, ranks, signed, state=None):
     """Each flip's ranks, in ascending order, from one FlipRanks loaded with
-    the unranked ``ranks``, as the search ranks a chunk."""
-    perms = unsigned_batch(n, ranks, signed)
+    ``ranks``, as the search ranks a chunk."""
     if state is None:
         state = K.FlipRanks(n, ranks.size, signed=signed)
-    state.load(perms, ranks)
+    perms = state.load(ranks)
     out = {}
     for i in range(1 if signed else 2, n + 1):
         got = K.batch_rank(perms, i, state)
@@ -331,24 +325,49 @@ class TestFlipRanks:
         # a share of 1.0 drops every row at the first flip: the later flips
         # rank an empty batch
         for share in (0.0, 0.3, 0.7, 1.0):
-            perms = unsigned_batch(n, ranks, signed)
             state = K.FlipRanks(n, size, signed=signed)
-            state.load(perms, ranks)
+            perms = state.load(ranks.copy())  # compact overwrites the ranks
             rows = np.arange(size)  # the original row of each row left
             for i in range(1 if signed else 2, n + 1):
                 got = K.batch_rank(perms, i, state)
                 assert np.array_equal(got, expected[i][rows]), (share, i)
                 index = np.flatnonzero(rng.random(rows.size) >= share)
-                perms = state.compact(perms, index)
+                perms = state.compact(index)
                 rows = rows[index]
                 assert perms.shape == (rows.size, n)
+                assert np.array_equal(state.ranks, ranks[rows]), (share, i)
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_load_releases_the_previous_batch(self, monkeypatch, signed):
+        # the search's memory charge holds one batch: once the caller drops
+        # a chunk's batch, loading the next one frees it before unranking
+        n = 7
+        size = math.factorial(n) << (n if signed else 0)
+        ranks = np.arange(0, size, 97, dtype=np.int64)
+        state = K.FlipRanks(n, ranks.size, signed=signed)
+        perms = state.load(ranks.copy())  # compact overwrites the ranks
+        K.batch_rank(perms, 3, state)
+        perms = state.compact(np.arange(0, ranks.size, 2))
+        old = weakref.ref(perms)
+        del perms
+        assert old() is not None  # the state holds its batch
+        unrank, alive = K.batch_unrank, []
+
+        def unranking(*args):
+            alive.append(old() is not None)
+            return unrank(*args)
+
+        monkeypatch.setattr(K, "batch_unrank", unranking)
+        perms = state.load(ranks[1:])
+        assert alive == [False] and old() is None
+        expected = flipped_ranks(n, ranks[1:], signed)[3]
+        assert np.array_equal(K.batch_rank(perms, 3, state), expected)
 
     def test_refuses_descending_flips_and_another_batch(self):
         n = 6
         ranks = np.arange(50, dtype=np.int64)
-        perms = K.batch_unrank(n, ranks)
         state = K.FlipRanks(n, 50)
-        state.load(perms, ranks)
+        perms = state.load(ranks)
         K.batch_rank(perms, 4, state)
         with pytest.raises(ValueError, match="flips must ascend"):
             K.batch_rank(perms, 3, state)
@@ -360,9 +379,8 @@ class TestFlipRanks:
         # without a flip would fail inside the step loop
         n = 6
         ranks = np.arange(50, dtype=np.int64)
-        perms = K.batch_unrank(n, ranks)
         state = K.FlipRanks(n, 50)
-        state.load(perms, ranks)
+        perms = state.load(ranks)
         with pytest.raises(ValueError, match="needs the state"):
             K.batch_rank(perms, 3)
         with pytest.raises(ValueError, match="no flip was given"):
@@ -372,19 +390,6 @@ class TestFlipRanks:
         # both valid forms still rank
         assert np.array_equal(K.batch_rank(perms), ranks)
         assert np.array_equal(K.batch_rank(perms, 3, state), K.batch_rank(K.batch_flip(perms, 3)))
-
-    @pytest.mark.parametrize("signed", [False, True])
-    def test_refuses_a_batch_that_is_not_uint8(self, signed):
-        # a signed int8 batch would be ranked as if its entries were unsigned
-        n = 5
-        ranks = np.arange(40, dtype=np.int64)
-        state = K.FlipRanks(n, ranks.size, signed=signed)
-        for dtype in (np.int8, np.int16, np.int64):
-            perms = unsigned_batch(n, ranks, signed).astype(dtype)
-            with pytest.raises(ValueError, match="uint8 rows"):
-                state.load(perms, ranks)
-        with pytest.raises(ValueError, match="uint8 rows"):
-            state.load(K.batch_sunrank(n, ranks), ranks)
 
     def test_refuses_ranks_beyond_int64(self):
         with pytest.raises(ValueError, match="n <= 20"):
