@@ -87,7 +87,8 @@ def _add_common(parser: argparse.ArgumentParser, *, graph: bool = True) -> None:
         "--workers",
         type=int,
         default=1,
-        help="parallel workers for layer tables (default 1)",
+        help="worker processes for layer tables: a layer with at least 2^16 "
+        "ranks of work per worker is split over forked children (default 1)",
     )
     parser.add_argument(
         "--output", metavar="PATH", help="write results here instead of stdout"

@@ -28,9 +28,14 @@ directions (direction-optimizing BFS: Beamer, Asanovic & Patterson, SC
   last flip. So a vertex can be found at several flips; its candidate bit
   is set all the same.
 
-Both directions extract a block's ranks with
-:func:`~pancakes._kernels.bitset_extract_ranks`, and skip a block with no
-set bit.
+Each layer first counts its work: the ranks it will extract, summed per
+group of words with ``np.bitwise_count`` (the frontier's set bits
+top-down, visited's clear bits bottom-up). A group of words holds at most
+one chunk of ranks. The counts cut the layer into blocks of about one chunk
+of ranks each, at most one chunk, that leave out the groups with no work.
+So a sparse layer is one full chunk rather than many tiny ones, and no
+block unpacks more than a chunk's worth of ranks. Both directions extract
+a block's ranks with :func:`~pancakes._kernels.bitset_extract_ranks`.
 
 A layer goes bottom-up when the frontier fills at least one chunk and holds
 more vertices than are left unvisited, both known from the layer counts
@@ -39,13 +44,13 @@ in the search most unvisited vertices are one flip from the frontier, and
 bottom-up ranks far fewer neighbors: 17.3M instead of 32.7M at P_10. A
 frontier below one chunk costs one kernel call per flip either way, so the
 chunk gate keeps small layers, and small graphs, top-down. A step in
-either direction holds one extracted block of ranks (one byte per bit of
-the block while it is unpacked, and an int64 per rank), the chunk's batch
-and ranking state, and per-flip arrays, bottom-up's no wider than
-top-down's; a bottom-up step also holds its block's inverted copy, 8 bytes
-a word, while the block is extracted. The popcount of the merged candidate
-bits is the next layer count. One generator runs the layers for fresh,
-checkpointed and resumed profiles alike.
+either direction holds one extracted block of ranks (see
+:func:`_extract_bytes`), the chunk's batch and ranking state, and
+per-flip arrays, bottom-up's no wider than top-down's; a bottom-up step
+also holds its block's inverted copy, 8 bytes a word, while the block is
+extracted, and its blocks span at most one chunk of words. The popcount of
+the merged candidate bits is the next layer count. One generator runs the
+layers for fresh, checkpointed and resumed profiles alike.
 
 The ball engine counts only the first K layers, in memory that grows with
 those layers instead of with the graph (frontier search: Korf, Zhang,
@@ -65,11 +70,17 @@ an iterative-deepening A* with the gap heuristic walks from the stack to the
 identity in memory linear in n, so it answers at sizes whose bitsets would
 not fit (Helmert, "Landmark heuristics for the pancake problem", 2010).
 
-In the bitset engine, workers partition the words of the frontier
-(top-down) or of the visited set (bottom-up) into contiguous spans. Each
-worker fills a private candidate bitset and the results are OR-merged
-single-threaded between layers, so profiles are bit-identical for every
-worker count. The ball engine runs on one thread.
+In the bitset engine, a layer whose work gives each of ``workers`` at
+least one chunk is cut into that many contiguous spans of groups with
+about equal work. The process forks a child for every span but the first,
+which it expands itself; each child sets its candidate bits in its own part
+of an anonymous shared mapping and leaves through ``os._exit``, and the
+parent ORs those parts into its own candidate bitset. A child that fails or
+dies, or an exception in the parent, ends the layer: the parent kills and
+reaps every child before the error propagates. Smaller layers, and every
+layer on a host without ``os.fork`` or in a process that runs other
+threads, run in the one process. Profiles are bit-identical for every
+worker count. The ball engine runs in one process.
 
 Memory is accounted for up front: a layer search that would exceed the
 limit refuses with the required size instead of thrashing. The bitset
@@ -81,7 +92,10 @@ variable or the ``memory_limit`` argument.
 
 from __future__ import annotations
 
+import mmap
 import os
+import signal
+import threading
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -118,12 +132,11 @@ MEMORY_LIMIT_ENV = "PANCAKE_MEM_LIMIT"
 # ranks processed per kernel call; at 1 << 18 a chunk's buffers outgrow a
 # 4 MB L2 cache and a P_10 profile ran about 9% slower
 _CHUNK = 1 << 16
-# bitset words scanned per extraction: frontier words top-down, visited
-# words bottom-up
-_BLOCK_WORDS = 1 << 15
 # a bottom-up flip that matches at least 1/_COMPACT of a chunk's rows left
 # drops them from the batch
 _COMPACT = 4
+# a layer forks its worker spans only where the host can
+_FORKS = hasattr(os, "fork")
 
 
 class MemoryLimitError(MemoryError):
@@ -203,6 +216,28 @@ def _check_workers(workers: int) -> None:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
 
+def _extract_bytes(graph: PancakeGraph) -> int:
+    """Bytes of one block's extraction in :func:`_expand_span`.
+
+    A block holds at most :func:`_block_cap` ranks. bitset_extract_ranks
+    unpacks a byte per bit of the block's words when at least half of them
+    are nonzero, else of its nonzero words only, with an int64 index and a
+    copy of each: either way at most 64 bytes for each of 2 words per rank.
+    Beside them it holds the int64 ranks, and later np.repeat's int64
+    offsets. Top-down the words are a view of the frontier's; bottom-up
+    they are an inverted copy of visited's, 8 bytes a word, of at most
+    :func:`_bottom_up_groups` groups.
+    """
+    nwords = (graph.size + 63) // 64
+    ranks = min(_block_cap(), graph.size)
+
+    def extract(words: int) -> int:
+        return 16 * ranks + 64 * min(words, 2 * ranks)
+
+    copied = min(nwords, _bottom_up_groups() * _group_words())
+    return max(extract(nwords), 8 * copied + extract(copied))
+
+
 def required_memory(
     graph: PancakeGraph, *, workers: int = 1, with_layer_map: bool = False
 ) -> int:
@@ -212,9 +247,10 @@ def required_memory(
     or reading a checkpoint between layers, plus the checksum tables that a
     checkpoint leaves cached for both. A layer built bottom-up holds the
     same bitsets as one built top-down, and its per-worker buffers fit the
-    same per-rank and per-bit charges; the per-word extraction charge holds
-    the inverted copy of a bottom-up block. So one estimate covers both
-    directions.
+    same per-rank charges; the extraction charge holds the inverted copy of
+    a bottom-up block. So one estimate covers both directions. Each worker
+    but the first is a forked child, and its charge is the private pages it
+    allocates: its span's buffers and extraction, as in the parent.
 
     ``with_layer_map`` adds three bitsets that keep every layer by its index
     mod 3, enough to find a vertex's layer. No search here keeps them (the
@@ -225,21 +261,18 @@ def required_memory(
     _check_workers(workers)
     size = graph.size
     nwords = (size + 63) // 64
-    # visited + the frontier being expanded + one candidate bitset per worker
-    # (no caller keeps the start frontier alive past layer 1), and with the
-    # layer map its three residue bitsets
+    # visited + the frontier being expanded + one candidate bitset per worker,
+    # the children's in a shared mapping (no caller keeps the start frontier
+    # alive past layer 1), and with the layer map its three residue bitsets
     bitsets = (2 + workers + 3 * with_layer_map) * 8 * nwords
-    buffers = workers * _chunk_bytes(graph, size)
-    # per-worker extraction of one block: unpackbits' byte per bit plus
-    # flatnonzero's int64 per set bit (a block under half nonzero words
-    # unpacks only those, at most 1,049 bytes per nonzero word), of the
-    # frontier's words or, bottom-up, of an inverted copy of visited's,
-    # 8 bytes per word while it is extracted
-    extraction = workers * (9 * 64 + 8) * min(_BLOCK_WORDS, nwords)
-    # bitset_popcount: np.bitwise_count's uint8 per frontier word, and the
-    # buffer in which sum() casts them to uint64, np.getbufsize() at most
-    popcount = nwords + 8 * min(nwords, np.getbufsize())
-    expansion = bitsets + buffers + extraction + popcount
+    buffers = workers * (_chunk_bytes(graph, size) + _extract_bytes(graph))
+    # the work count's int64 prefix sums stay through the expansion. Before
+    # it, the count holds np.bitwise_count's uint8 per word, the buffer in
+    # which a sum casts them, np.getbufsize() at most, and the sums per group;
+    # after it, bitset_popcount holds the first two
+    cum = 8 * (-(-nwords // _group_words()) + 1)
+    count = nwords + 8 * min(nwords, np.getbufsize()) + 2 * cum
+    expansion = bitsets + max(buffers + cum, count)
     # a checkpoint save or read holds visited and the frontier and checksums
     # one of them at a time; the candidates are merged or not yet allocated
     crc_tables, crc_call = _crc_scratch(8 * nwords)
@@ -279,18 +312,25 @@ def _save(
         write_checkpoint(checkpoint_path, cp)
 
 
+def _flip_ranks(graph: PancakeGraph, rows: int) -> K.FlipRanks:
+    """The ranking state of a chunk loop over ``rows`` ranks, a chunk at most."""
+    return K.FlipRanks(graph.n, min(_CHUNK, rows), signed=graph.kind is GraphKind.BURNT)
+
+
 def _fresh_neighbors(
-    graph: PancakeGraph, ranks: np.ndarray, seen: Callable[[np.ndarray], np.ndarray]
+    graph: PancakeGraph,
+    ranks: np.ndarray,
+    seen: Callable[[np.ndarray], np.ndarray],
+    state: K.FlipRanks,
 ) -> Iterator[np.ndarray]:
     """For each chunk of ``ranks`` and each flip, the neighbor ranks not ``seen``.
 
-    One :class:`~pancakes._kernels.FlipRanks` unranks each chunk and ranks
-    every flip of its rows, in ascending order; its buffers serve every
-    chunk. Nothing of one flip is alive while the next one is ranked
+    ``state`` (see :func:`_flip_ranks`) unranks each chunk and ranks every
+    flip of its rows, in ascending order; its buffers serve every chunk.
+    Nothing of one flip is alive while the next one is ranked
     (:func:`_chunk_bytes` counts on it), so a caller drops each array before
     it asks for the next.
     """
-    state = K.FlipRanks(graph.n, min(_CHUNK, ranks.size), signed=graph.kind is GraphKind.BURNT)
     for start in range(0, ranks.size, _CHUNK):
         perms = state.load(ranks[start : start + _CHUNK])
         for i in graph.flip_indices:
@@ -304,7 +344,10 @@ def _fresh_neighbors(
 
 
 def _frontier_children(
-    graph: PancakeGraph, ranks: np.ndarray, frontier: np.ndarray
+    graph: PancakeGraph,
+    ranks: np.ndarray,
+    frontier: np.ndarray,
+    state: K.FlipRanks,
 ) -> Iterator[np.ndarray]:
     """For each chunk of the unvisited ``ranks`` and each flip, the ranks
     left in the chunk whose flip lands in ``frontier``.
@@ -316,11 +359,9 @@ def _frontier_children(
     ranks in their chunk of ``ranks``, which is overwritten, so the later
     flips rank only them and the state's ``ranks`` are theirs. A chunk ends
     when one flip matches every row left, or after flip n. Each array holds
-    distinct ranks, but a rank can recur in a later array. As in
-    :func:`_fresh_neighbors`, a caller drops each array before it asks for
-    the next.
+    distinct ranks, but a rank can recur in a later array. ``state`` and
+    the arrays are as in :func:`_fresh_neighbors`.
     """
-    state = K.FlipRanks(graph.n, min(_CHUNK, ranks.size), signed=graph.kind is GraphKind.BURNT)
     for start in range(0, ranks.size, _CHUNK):
         perms = state.load(ranks[start : start + _CHUNK])
         for i in graph.flip_indices:
@@ -342,23 +383,101 @@ def _frontier_children(
         del perms  # before the next chunk is unranked
 
 
+def _group_words() -> int:
+    """Words per group of the work count: a group holds at most a chunk of ranks."""
+    return max(1, _CHUNK // 64)
+
+
+def _block_cap() -> int:
+    """Most ranks in one extracted block: a chunk, or one group's bits if more."""
+    return max(_CHUNK, 64 * _group_words())
+
+
+def _bottom_up_groups() -> int:
+    """Most groups in one bottom-up block, whose inverted copy of visited's
+    words then takes no more bytes than a chunk of int64 ranks."""
+    return max(1, _CHUNK // _group_words())
+
+
+def _work(
+    graph: PancakeGraph, visited: np.ndarray, frontier: np.ndarray, bottom_up: bool
+) -> np.ndarray:
+    """Prefix sums of the ranks a layer extracts from its groups of words.
+
+    Entry g counts the ranks in groups 0..g-1 of :func:`_group_words` words
+    each: set frontier bits top-down, clear visited bits below the graph's
+    size bottom-up. The last entry is the layer's whole work.
+    """
+    group = _group_words()
+    words = visited if bottom_up else frontier
+    starts = np.arange(0, words.size, group)
+    work = np.add.reduceat(np.bitwise_count(words), starts, dtype=np.int64)
+    if bottom_up:
+        # every bit of a group but the popcount, less the bits past the size
+        np.subtract(64 * group, work, out=work)
+        work[-1] -= 64 * (starts[-1] + group) - graph.size
+    cum = np.zeros(work.size + 1, dtype=np.int64)
+    np.cumsum(work, out=cum[1:])
+    return cum
+
+
+def _spans(cum: np.ndarray, workers: int) -> list[tuple[int, int]]:
+    """Group ranges of about equal work, one per worker when each gets at
+    least a chunk and this process can fork, else one range of every group.
+
+    A forked child has only the thread that forked it, and any lock another
+    thread held stays held in the child, so a process that runs other
+    threads expands every layer itself.
+    """
+    total, groups = int(cum[-1]), cum.size - 1
+    if workers < 2 or total < workers * _CHUNK or not _FORKS or threading.active_count() > 1:
+        return [(0, groups)]
+    # span w starts at the first group with at least w/workers of the work before it
+    cuts = np.searchsorted(cum, [total * w // workers for w in range(1, workers)]).tolist()
+    bounds = [0, *cuts, groups]
+    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+
+
+def _blocks(cum: np.ndarray, lo: int, hi: int, most_groups: int) -> Iterator[tuple[int, int]]:
+    """Group ranges within [lo, hi) of at most :func:`_block_cap` ranks and
+    ``most_groups`` groups, each starting and ending with a group that has
+    work; the groups without work between blocks are left out."""
+    cap = _block_cap()
+    while True:
+        # past the groups without work: the last entry equal to cum[lo]
+        lo = int(np.searchsorted(cum, cum[lo], side="right")) - 1
+        if lo >= hi:
+            return
+        # one group holds at most the cap, so a block takes at least one
+        top = min(int(np.searchsorted(cum, cum[lo] + cap, side="right")) - 1, hi, lo + most_groups)
+        # short of the groups without work at its end
+        yield lo, int(np.searchsorted(cum, cum[top]))
+        lo = top
+
+
 def _expand_span(
     graph: PancakeGraph,
     visited: np.ndarray,
     frontier: np.ndarray,
+    cum: np.ndarray,
     lo: int,
     hi: int,
     bottom_up: bool,
-) -> np.ndarray:
-    """Candidate bitset of the next layer's vertices found from words [lo, hi).
+    cand: np.ndarray,
+) -> None:
+    """Set in ``cand`` the next layer's vertices found from groups [lo, hi).
 
     Top-down, those are the unvisited neighbors of the frontier bits in the
-    words; bottom-up, the unvisited vertices of the words with a neighbor in
-    the frontier.
+    groups' words; bottom-up, the unvisited vertices of the words with a
+    neighbor in the frontier. ``cum`` is the layer's :func:`_work`. The
+    groups go block by block (:func:`_blocks`) through one ranking state,
+    sized for the span's work up to a chunk.
     """
-    cand = np.zeros_like(visited)
-    for block in range(lo, hi, _BLOCK_WORDS):
-        top = min(block + _BLOCK_WORDS, hi)
+    group, nwords = _group_words(), visited.size
+    state = _flip_ranks(graph, int(cum[hi] - cum[lo]))
+    # a top-down block is a view of the frontier, of any number of groups
+    for first, last in _blocks(cum, lo, hi, _bottom_up_groups() if bottom_up else hi):
+        block, top = first * group, min(last * group, nwords)
         if bottom_up:
             # the unvisited ranks are the set bits of an inverted copy whose
             # bits past the graph's last rank are cleared
@@ -368,14 +487,12 @@ def _expand_span(
                 span[-1] &= (1 << used) - 1
         else:
             span = frontier[block:top]
-        if not span.any():
-            continue
         ranks = K.bitset_extract_ranks(span, word_offset=block)
         del span
         if bottom_up:
-            found = _frontier_children(graph, ranks, frontier)
+            found = _frontier_children(graph, ranks, frontier, state)
         else:
-            found = _fresh_neighbors(graph, ranks, lambda r: K.bitset_test(visited, r))
+            found = _fresh_neighbors(graph, ranks, lambda r: K.bitset_test(visited, r), state)
         for new in found:
             # each array holds distinct ranks; a rank that recurs in a later
             # bottom-up array finds its bit set, and bitset_add drops it
@@ -383,7 +500,73 @@ def _expand_span(
                 K.bitset_add(cand, new)
             del new
         del ranks, found  # before the next block is extracted
-    return cand
+
+
+def _in_child(run: Callable[[], object]) -> None:
+    """Run ``run`` in a forked child, which leaves through ``os._exit``: with
+    0 once ``run`` returns, else with 1 after printing the traceback. So a
+    child never returns into the code of the parent that forked it, and
+    never flushes the parent's buffered output or runs its exit handlers."""
+    code = 1
+    try:
+        run()
+        code = 0
+    except BaseException:
+        import traceback
+
+        traceback.print_exc()
+    finally:
+        os._exit(code)
+
+
+def _expand_forked(
+    graph: PancakeGraph,
+    visited: np.ndarray,
+    frontier: np.ndarray,
+    cum: np.ndarray,
+    spans: list[tuple[int, int]],
+    bottom_up: bool,
+    cand: np.ndarray,
+) -> None:
+    """Expand ``spans[0]`` here and each later span in a forked child.
+
+    A child sets its candidate bits in its own part of an anonymous shared
+    mapping, which the parent ORs into ``cand`` once every child has ended
+    well. A child that fails or dies, or any exception here, such as a
+    KeyboardInterrupt in the parent's own span, ends the layer: every child
+    still running is killed and every child is reaped before it propagates.
+    """
+    nbytes = cand.nbytes
+    with mmap.mmap(-1, nbytes * (len(spans) - 1)) as shared:
+        running: list[int] = []
+        try:
+            for part, (lo, hi) in enumerate(spans[1:]):
+                pid = os.fork()
+                if not pid:
+                    _in_child(
+                        lambda: _expand_span(
+                            graph, visited, frontier, cum, lo, hi, bottom_up,
+                            np.frombuffer(shared, np.uint64, cand.size, part * nbytes),
+                        )
+                    )
+                running.append(pid)
+            _expand_span(graph, visited, frontier, cum, *spans[0], bottom_up, cand)
+            while running:
+                code = os.waitstatus_to_exitcode(os.waitpid(running[0], 0)[1])
+                pid = running.pop(0)
+                if code > 0:
+                    raise RuntimeError(f"search worker {pid} exited with code {code}")
+                if code < 0:
+                    raise RuntimeError(f"search worker {pid} was killed by signal {-code}")
+        finally:
+            for pid in running:
+                os.kill(pid, signal.SIGKILL)
+            for pid in running:
+                os.waitpid(pid, 0)
+        for part in range(len(spans) - 1):
+            bits = np.frombuffer(shared, np.uint64, cand.size, part * nbytes)
+            np.bitwise_or(cand, bits, out=cand)
+            del bits  # before the mapping closes
 
 
 def _expand_layer(
@@ -394,20 +577,13 @@ def _expand_layer(
     bottom_up: bool,
 ) -> np.ndarray:
     """Bitset of the next layer (unvisited neighbors of the frontier)."""
-    nwords = visited.shape[0]
-    if workers <= 1 or nwords < workers:
-        return _expand_span(graph, visited, frontier, 0, nwords, bottom_up)
-    from concurrent.futures import ThreadPoolExecutor  # single-worker runs skip its import
-
-    bounds = [nwords * w // workers for w in range(workers + 1)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        cand, *parts = pool.map(
-            lambda lo, hi: _expand_span(graph, visited, frontier, lo, hi, bottom_up),
-            bounds,
-            bounds[1:],
-        )
-    for part in parts:
-        np.bitwise_or(cand, part, out=cand)
+    cum = _work(graph, visited, frontier, bottom_up)
+    spans = _spans(cum, workers)
+    cand = np.zeros_like(visited)
+    if len(spans) > 1:
+        _expand_forked(graph, visited, frontier, cum, spans, bottom_up, cand)
+    else:
+        _expand_span(graph, visited, frontier, cum, *spans[0], bottom_up, cand)
     return cand
 
 
@@ -554,7 +730,10 @@ def _ball_counts(graph: PancakeGraph, max_layer: int, limit: int | None) -> list
         found = np.empty(fanout * layer.size, dtype=np.int64)
         end = 0
         for fresh in _fresh_neighbors(
-            graph, layer, lambda r: _in_layer(layer, r) | _in_layer(previous, r)
+            graph,
+            layer,
+            lambda r: _in_layer(layer, r) | _in_layer(previous, r),
+            _flip_ranks(graph, layer.size),
         ):
             found[end : end + fresh.size] = fresh
             end += fresh.size
@@ -590,9 +769,11 @@ def layer_profile(
     ``max_layer`` stops after that many layers, leaving a resumable checkpoint.
 
     Two engines count the layers, with identical results. The bitset engine
-    holds whole-graph bitsets and splits each layer over ``workers`` threads.
-    The ball engine holds the last two layers as sorted rank arrays on one
-    thread, so its memory grows with the first layers, not with the graph.
+    holds whole-graph bitsets and splits each layer with at least a chunk
+    of work per worker over ``workers`` processes, forking one child per
+    worker but the first. The ball engine holds the last two layers as
+    sorted rank arrays in one process, so its memory grows with the first
+    layers, not with the graph.
     It runs when ``max_layer`` is given, there is no ``checkpoint_path``,
     and its estimate for the first ``max_layer`` layers is below
     :func:`required_memory` at one worker, whatever ``workers`` is; it then

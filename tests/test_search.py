@@ -1,10 +1,13 @@
 """Layered BFS profiles, checkpoint/resume, and the distance and sort queries."""
 
-# searches with more than one worker import the thread pool on first use;
-# loaded here, its module objects are not counted in their traced peaks
-import concurrent.futures  # noqa: F401
+import math
+import mmap
+import multiprocessing
+import os
 import random
+import signal
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -101,6 +104,28 @@ def all_optimal_sequences(g, v, dist_map):
         if dist_map[w.entries] == d - 1:
             out |= {(i,) + rest for rest in all_optimal_sequences(g, w, dist_map)}
     return out
+
+
+def shared_counts(*shape):
+    """Zeroed int64 counts in an anonymous shared mapping, which forked
+    workers inherit, so that their additions reach this process; and a lock
+    for adding to them from any of the processes."""
+    counts = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.int64)
+    return counts.reshape(shape), multiprocessing.Lock()
+
+
+def forked_candidates(monkeypatch):
+    """A list to which each layer split over forked workers adds the bytes of
+    the candidate bitsets they share with this process."""
+    shared = []
+    expand = search._expand_forked
+
+    def recording(graph, visited, frontier, cum, spans, bottom_up, cand):
+        shared.append((len(spans) - 1) * cand.nbytes)
+        return expand(graph, visited, frontier, cum, spans, bottom_up, cand)
+
+    monkeypatch.setattr(search, "_expand_forked", recording)
+    return shared
 
 
 def bottom_up_layers(g, counts, chunk):
@@ -214,10 +239,13 @@ class TestLayerProfile:
         # of more than 5 vertices, and send the late layers bottom-up
         monkeypatch.setattr(search, "_CHUNK", 5)
         arrays = {"top-down": 0, "bottom-up": 0}
+        chunks = []  # rows of each chunk a top-down generator loads
 
         def checked(direction, generator):
-            def run(*args):
-                for new in generator(*args):
+            def run(graph, ranks, *args):
+                if direction == "top-down":
+                    chunks.extend(len(ranks[i : i + 5]) for i in range(0, ranks.size, 5))
+                for new in generator(graph, ranks, *args):
                     assert np.unique(new).size == new.size
                     arrays[direction] += 1
                     yield new
@@ -232,10 +260,13 @@ class TestLayerProfile:
         g = graph(kind, n)
         profile = layer_profile(g)
         assert profile.counts == tuple(naive_layer_counts(n, burnt=kind is BURNT))
-        # one top-down array per flip of each chunk of each top-down layer
+        # one top-down array per flip of each chunk of each top-down layer; a
+        # layer's blocks are chunked one by one, and hold its vertices
         bottom_up = bottom_up_layers(g, profile.counts, 5)
         top_down = [c for k, c in enumerate(profile.counts) if k not in bottom_up]
-        assert arrays["top-down"] == len(g.flip_indices) * sum(-(-c // 5) for c in top_down)
+        assert arrays["top-down"] == len(g.flip_indices) * len(chunks)
+        assert sum(chunks) == sum(top_down) and max(chunks) <= 5
+        assert len(chunks) >= sum(-(-c // 5) for c in top_down)
         # from P_5 and BP_3 on, some layer is bottom-up and finds vertices
         if g.size >= 48:
             assert arrays["bottom-up"] > 0
@@ -277,26 +308,25 @@ class TestDirections:
     @pytest.mark.parametrize("kind,n", DIRECTION_GRAPHS)
     def test_bottom_up_finds_the_top_down_layer(self, monkeypatch, kind, n, workers):
         g = graph(kind, n)
-        # small chunks and blocks put chunk and block boundaries inside
-        # layers, and late layers leave whole blocks visited; P_8 and BP_6
-        # take larger ones, or tiny kernel calls would take most of the run
-        chunk, block_words = (37, 3) if g.size < 10_000 else (401, 16)
+        # small chunks put chunk and block boundaries inside layers, split
+        # the larger layers over two forked workers, and late layers leave
+        # whole groups of words visited; P_8 and BP_6 take larger ones, or
+        # tiny kernel calls would take most of the run
+        chunk = 37 if g.size < 10_000 else 401
         monkeypatch.setattr(search, "_CHUNK", chunk)
-        monkeypatch.setattr(search, "_BLOCK_WORDS", block_words)
         visited, frontier = search._start(g, None, workers, f"layer profile of {g}")
-        nwords = visited.size
-        spans = workers if nwords >= workers else 1  # as _expand_layer splits the words
-        bounds = [nwords * w // spans for w in range(spans + 1)]
-        blocks = [
-            (lo, min(lo + block_words, hi))
-            for lo, hi in zip(bounds, bounds[1:])
-            for lo in range(lo, hi, block_words)
-        ]
-        counts, full_blocks = [1], 0
+        group = 64 * search._group_words()  # bits per group
+        groups = -(-visited.size * 64 // group)
+        counts, full_groups = [1], 0
         while True:
             seen = np.unpackbits(visited.view(np.uint8), bitorder="little")[: g.size]
-            full_blocks += sum(bool(seen[64 * lo : 64 * hi].all()) for lo, hi in blocks)
+            clear = [
+                int(np.count_nonzero(seen[group * i : group * (i + 1)] == 0)) for i in range(groups)
+            ]
+            full_groups += clear.count(0)
             del seen
+            # the work count of a bottom-up layer is each group's unvisited ranks
+            assert np.diff(search._work(g, visited, frontier, True)).tolist() == clear
             top_down = search._expand_layer(g, visited, frontier, workers, False)
             bottom_up = search._expand_layer(g, visited, frontier, workers, True)
             assert np.array_equal(bottom_up, top_down), len(counts)
@@ -307,28 +337,28 @@ class TestDirections:
             np.bitwise_or(visited, top_down, out=visited)
             frontier = top_down
         assert counts == naive_layer_counts(n, burnt=kind is BURNT)
-        # blocks with no unvisited vertex below the graph's size: the last
+        # groups with no unvisited vertex below the graph's size: the last
         # expansion, after which every vertex is visited, meets only those
-        assert full_blocks >= len(blocks)
-        # from P_6 and BP_4 on, some block is full while layers remain
+        assert full_groups >= groups
+        # from P_6 and BP_4 on, some group is full while layers remain
         if g.size >= 384:
-            assert full_blocks > len(blocks)
+            assert full_groups > groups
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("kind,n", DIRECTION_GRAPHS)
     def test_every_unranked_vertex_was_extracted_once(self, monkeypatch, kind, n, workers):
         # both directions take a block's ranks from bitset_extract_ranks, and
         # unrank each of them once: top-down the frontier's, bottom-up the
-        # unvisited ones. A burnt chunk unranks its ranks shifted right by n
+        # unvisited ones. A burnt chunk unranks its ranks shifted right by n.
+        # Forked workers count in the same shared mapping as this process
         g = graph(kind, n)
         shift = n if kind is BURNT else 0
-        totals = {"extracted": [0, 0], "unranked": [0, 0]}
-        lock = threading.Lock()
+        counted, lock = shared_counts(2, 2)
+        rows = {"extracted": 0, "unranked": 1}
 
         def add(name, ranks):
             with lock:
-                totals[name][0] += ranks.size
-                totals[name][1] += int(ranks.sum())
+                counted[rows[name]] += ranks.size, int(ranks.sum())
 
         extract, unrank = _kernels.bitset_extract_ranks, _kernels.batch_unrank
 
@@ -344,12 +374,12 @@ class TestDirections:
         monkeypatch.setattr(_kernels, "bitset_extract_ranks", extracting)
         monkeypatch.setattr(_kernels, "batch_unrank", unranking)
         # as in test_bottom_up_finds_the_top_down_layer: small chunks send the
-        # late layers bottom-up, and small blocks split them
-        chunk, block_words = (5, 3) if g.size < 10_000 else (401, 16)
+        # late layers bottom-up, split them into blocks and fork their workers
+        chunk = 5 if g.size < 10_000 else 401
         monkeypatch.setattr(search, "_CHUNK", chunk)
-        monkeypatch.setattr(search, "_BLOCK_WORDS", block_words)
         profile = layer_profile(g, workers=workers)
         assert profile.counts == tuple(naive_layer_counts(n, burnt=kind is BURNT))
+        totals = {name: counted[row].tolist() for name, row in rows.items()}
         assert totals["extracted"] == totals["unranked"]
         # expanding a layer extracts its vertices top-down, and bottom-up the
         # vertices still unvisited after it
@@ -400,6 +430,160 @@ class TestDirections:
             assert [k + j for j, up in enumerate(ran) if up] == expected[expected.index(k) :]
 
 
+class TestForkedWorkers:
+    """Layers whose work gives each worker a chunk are split over forked
+    children; small chunks make the layers of small graphs fork."""
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("kind,n", DIRECTION_GRAPHS)
+    def test_forked_profiles_match_naive_bfs(self, monkeypatch, tmp_path, kind, n, workers):
+        g = graph(kind, n)
+        chunk = 37 if g.size < 10_000 else 401
+        monkeypatch.setattr(search, "_CHUNK", chunk)
+        shared = forked_candidates(monkeypatch)
+        expected = tuple(naive_layer_counts(n, burnt=kind is BURNT))
+        assert layer_profile(g, workers=workers).counts == expected
+        # a layer's work is its frontier top-down, its unvisited vertices
+        # bottom-up; it forks when each worker gets at least a chunk of it
+        bottom_up = bottom_up_layers(g, expected, chunk)
+        work = [
+            g.size - sum(expected[: k + 1]) if k in bottom_up else c
+            for k, c in enumerate(expected)
+        ]
+        assert len(shared) == sum(w >= workers * chunk for w in work)
+        if g.size >= 5040:
+            assert shared
+        # resumed at each bottom-up layer, over the same workers
+        path = tmp_path / "g.ckpt"
+        for k in bottom_up:
+            layer_profile(g, checkpoint_path=path, max_layer=k)
+            assert resume(path, workers=workers).counts == expected
+
+    def test_a_process_with_other_threads_does_not_fork(self, monkeypatch):
+        # a fork copies only the calling thread, and any lock another thread
+        # holds stays held in the child
+        g = graph(PLAIN, 7)
+        monkeypatch.setattr(search, "_CHUNK", 37)
+        shared = forked_candidates(monkeypatch)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        other.start()
+        try:
+            profile = layer_profile(g, workers=3)
+        finally:
+            release.set()
+            other.join(30)
+        assert not other.is_alive()
+        assert profile.counts == tuple(naive_layer_counts(7, burnt=False))
+        assert shared == []
+        layer_profile(g, workers=3)
+        assert shared
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/smaps_rollup"), reason="reads Linux's page counts"
+    )
+    @pytest.mark.parametrize("kind,n", BITSET_GRAPHS)
+    def test_child_private_pages_fit_its_charge(self, monkeypatch, kind, n):
+        # the pages a forked worker owns alone when its span ends (the ones it
+        # allocated, and those of this process that it wrote to, copied) fit
+        # the estimate's charge for one worker
+        g = graph(kind, n)
+        parent, expand = os.getpid(), search._expand_span
+        widest, lock = shared_counts(1)
+
+        def expanding(*args):
+            expand(*args)
+            if os.getpid() != parent:
+                with open("/proc/self/smaps_rollup") as fh:
+                    private = sum(
+                        int(line.split()[1]) << 10 for line in fh if line.startswith("Private_")
+                    )
+                with lock:
+                    widest[0] = max(widest[0], private)
+
+        monkeypatch.setattr(search, "_expand_span", expanding)
+        assert layer_profile(g, workers=2).complete
+        assert 0 < widest[0] <= search._chunk_bytes(g, g.size) + search._extract_bytes(g)
+
+    @pytest.mark.parametrize("case", ["fails", "dies", "interrupted"])
+    def test_no_child_outlives_a_failed_layer(self, monkeypatch, tmp_path, case):
+        # P_7 at chunks of 37 forks its layers 4 to 7 over three workers. In
+        # the first forked layer the first child fails or dies while the
+        # second sleeps, or the parent is interrupted in its own span while
+        # both sleep; either way the layer ends, every child is gone, and the
+        # checkpoint of the layer before it reads back and resumes
+        g = graph(PLAIN, 7)
+        monkeypatch.setattr(search, "_CHUNK", 37)
+        parent, spans = os.getpid(), []
+        expand_forked, expand_span = search._expand_forked, search._expand_span
+
+        def forking(graph, visited, frontier, cum, layer_spans, bottom_up, cand):
+            spans.extend(layer_spans)
+            return expand_forked(graph, visited, frontier, cum, layer_spans, bottom_up, cand)
+
+        def expanding(graph, visited, frontier, cum, lo, hi, bottom_up, cand):
+            if spans and os.getpid() == parent and case == "interrupted":
+                raise KeyboardInterrupt
+            if os.getpid() != parent:
+                if (lo, hi) == spans[1] and case == "fails":
+                    raise ValueError("a worker failed")
+                if (lo, hi) == spans[1] and case == "dies":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                time.sleep(60)  # until the parent kills it
+            return expand_span(graph, visited, frontier, cum, lo, hi, bottom_up, cand)
+
+        monkeypatch.setattr(search, "_expand_forked", forking)
+        monkeypatch.setattr(search, "_expand_span", expanding)
+        path = tmp_path / "p7.ckpt"
+        error = KeyboardInterrupt if case == "interrupted" else RuntimeError
+        started = time.monotonic()
+        with pytest.raises(error):
+            layer_profile(g, workers=3, checkpoint_path=path)
+        assert time.monotonic() - started < 30
+        assert len(spans) == 3
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        expected = tuple(naive_layer_counts(7, burnt=False))
+        assert read_checkpoint(path).counts == expected[:4]
+        monkeypatch.undo()
+        assert resume(path, workers=3).counts == expected
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "kind,n,chunk",
+        [(PLAIN, 10, None), (BURNT, 8, None), (PLAIN, 7, 5), (PLAIN, 8, 100), (BURNT, 5, 37)],
+    )
+    def test_no_extracted_block_exceeds_the_cap(self, monkeypatch, kind, n, chunk, workers):
+        # at the real chunk size the cap is one chunk; below 64 ranks a chunk
+        # is smaller than one word's bits, and a block holds one word
+        if chunk is not None:
+            monkeypatch.setattr(search, "_CHUNK", chunk)
+        cap = search._block_cap()
+        assert cap == max(search._CHUNK, 64)
+        widest, lock = shared_counts(2)
+        extract = _kernels.bitset_extract_ranks
+
+        def extracting(*args, **kwargs):
+            ranks = extract(*args, **kwargs)
+            with lock:
+                widest[0] = max(widest[0], ranks.size)
+                widest[1] += ranks.size
+            return ranks
+
+        monkeypatch.setattr(_kernels, "bitset_extract_ranks", extracting)
+        g = graph(kind, n)
+        profile = layer_profile(g, workers=workers)
+        assert profile.complete
+        assert 0 < widest[0] <= cap
+        # the blocks extract every frontier top-down and every unvisited
+        # vertex bottom-up, forked workers' included
+        bottom_up = bottom_up_layers(g, profile.counts, search._CHUNK)
+        assert widest[1] == sum(
+            g.size - sum(profile.counts[: k + 1]) if k in bottom_up else c
+            for k, c in enumerate(profile.counts)
+        )
+
+
 class TestMemoryAccounting:
     def test_refuses_oversized_run(self):
         with pytest.raises(MemoryLimitError) as info:
@@ -428,15 +612,20 @@ class TestMemoryAccounting:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("kind,n", PEAK_GRAPHS)
-    def test_estimate_covers_traced_peak(self, kind, n, workers):
+    def test_estimate_covers_traced_peak(self, monkeypatch, kind, n, workers):
+        # the estimate less the forked workers' own buffers, which this
+        # process does not trace, covers its traced peak and the candidate
+        # bitsets the workers share with it
         g = graph(kind, n)
+        shared = forked_candidates(monkeypatch)
         tracemalloc.start()
         try:
             layer_profile(g, workers=workers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= required_memory(g, workers=workers)
+        children = (workers - 1) * (search._chunk_bytes(g, g.size) + search._extract_bytes(g))
+        assert peak + max(shared, default=0) <= required_memory(g, workers=workers) - children
 
     @pytest.mark.parametrize("kind,n", BITSET_GRAPHS)
     def test_chunk_charge_covers_a_pass_of_the_expansion_loop(self, kind, n):
@@ -450,7 +639,8 @@ class TestMemoryAccounting:
             return _kernels.bitset_test(visited, r)
 
         def one_pass():
-            for fresh in search._fresh_neighbors(g, ranks, seen):
+            state = search._flip_ranks(g, ranks.size)
+            for fresh in search._fresh_neighbors(g, ranks, seen, state):
                 _kernels.bitset_add(cand, fresh)
                 del fresh
 
@@ -470,12 +660,43 @@ class TestMemoryAccounting:
         _kernels.bitset_set(frontier, np.flatnonzero(rng.random(g.size) < density))
 
         def one_pass():
-            for children in search._frontier_children(g, ranks, frontier):
+            state = search._flip_ranks(g, ranks.size)
+            for children in search._frontier_children(g, ranks, frontier, state):
                 _kernels.bitset_add(cand, children)
                 del children
 
         assert traced_peak(one_pass) <= search._chunk_bytes(g, search._CHUNK)
         assert _kernels.bitset_popcount(cand) > 0
+
+    @pytest.mark.parametrize("kind,n", BITSET_GRAPHS)
+    def test_extraction_charge_covers_the_widest_blocks(self, kind, n):
+        # a block of at most a cap of ranks costs bitset_extract_ranks the
+        # most with one rank per nonzero word: unpacking every word while
+        # half of them are nonzero, or only the nonzero ones when fewer are;
+        # or with whole words of ranks, whose offsets np.repeat spreads
+        g = graph(kind, n)
+        nwords, cap = (g.size + 63) // 64, search._block_cap()
+        copied = min(nwords, search._bottom_up_groups() * search._group_words())
+
+        def blocks(words):
+            half = np.zeros(min(words, 2 * cap), dtype=np.uint64)
+            half[::2] = 1
+            spread = np.zeros(words, dtype=np.uint64)
+            spread[:: -(-words // min(cap, (words - 1) // 2))] = 1
+            full = np.zeros(words, dtype=np.uint64)
+            full[: min(cap // 64, (words - 1) // 2)] = ~np.uint64(0)
+            return half, spread, full
+
+        charge = search._extract_bytes(g)
+        for words in blocks(nwords):
+            assert 0 < np.bitwise_count(words).sum() <= cap
+            # top-down the block is a view of the frontier's words
+            assert traced_peak(bitset_extract_ranks, words) <= charge
+        for words in blocks(copied):
+            assert 0 < np.bitwise_count(words).sum() <= cap
+            visited = np.invert(words)
+            # bottom-up it is an inverted copy of visited's
+            assert traced_peak(lambda: bitset_extract_ranks(np.invert(visited))) <= charge
 
     @pytest.fixture(scope="class")
     def last_layer_vertex(self, tmp_path_factory):
@@ -515,29 +736,34 @@ class TestMemoryAccounting:
     def test_estimate_counts_every_live_bitset(
         self, kind, n, workers, monkeypatch, tmp_path
     ):
-        # at the real sizes the chunk and block buffers are tens of MB and
-        # would hide a bitset the estimate missed, or one it charges for
-        # nothing; here one bitset is over a fifth of the peak, so the bound
-        # from above catches a phantom one
+        # at the real sizes the chunk and block buffers are MBs and would
+        # hide a bitset the estimate missed, or one it charges for nothing;
+        # here one bitset is over a fifth of the peak, so the bound from
+        # above catches a phantom one. Layer 5 is the first whose expansion
+        # is split over two workers at this chunk size; tracemalloc misses
+        # the candidate bitsets they share with this process, which are added
         monkeypatch.setattr(search, "_CHUNK", 1 << 10)
-        monkeypatch.setattr(search, "_BLOCK_WORDS", 1 << 4)
+        shared = forked_candidates(monkeypatch)
 
         def traced_cold(run, *args, **kwargs):
             # the checksum tables are built inside the traced run, whatever
             # ran before it in this process
             _crc_tables.cache_clear()
-            return traced_peak(run, *args, **kwargs)
+            shared.clear()
+            return traced_peak(run, *args, **kwargs) + max(shared, default=0)
 
         g = graph(kind, n)
         path = tmp_path / "g.ckpt"
         estimate = required_memory(g, workers=workers)
         peak = traced_cold(
-            layer_profile, g, workers=workers, checkpoint_path=path, max_layer=3
+            layer_profile, g, workers=workers, checkpoint_path=path, max_layer=5
         )
+        assert bool(shared) == (workers > 1)
         assert peak <= estimate <= 1.25 * peak
         target = g.unrank(int(bitset_extract_ranks(read_checkpoint(path).frontier)[0]))
         layer_profile(g, checkpoint_path=path, max_layer=1)
-        peak = traced_cold(resume, path, workers=workers, max_layer=3)
+        peak = traced_cold(resume, path, workers=workers, max_layer=5)
+        assert bool(shared) == (workers > 1)
         assert peak <= estimate <= 1.25 * peak
         peak = traced_cold(sort_sequence, g, target, workers=workers)
         assert peak <= required_memory(g, workers=workers, with_layer_map=True)
