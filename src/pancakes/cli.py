@@ -11,13 +11,24 @@ Exit codes distinguish engineering failures from mathematical surprises:
 * 4 — a conjecture disagreed with the data (a result, not a bug)
 
 The ``PANCAKE_MEM_LIMIT`` environment variable overrides the default 4 GiB
-memory budget; ``--memory-limit`` overrides both.
+memory budget; ``--memory-limit`` overrides both. A CLI process runs
+OpenBLAS with one thread unless ``OPENBLAS_NUM_THREADS`` is already set,
+since no command calls BLAS. A SIGTERM ends a forked layer as Ctrl-C does:
+its children are killed and reaped before the process ends.
 """
 
 from __future__ import annotations
 
+import os
+
+# before NumPy loads: pancakes calls no BLAS, and OpenBLAS's pool of one
+# thread per core busy-waits for a first job that never comes
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
+import signal
 import sys
+import threading
 from pathlib import Path
 from typing import TextIO
 
@@ -361,7 +372,36 @@ def cmd_formulas_fit(args: argparse.Namespace, out: TextIO) -> int:
     return EXIT_OK
 
 
+class _Terminated(KeyboardInterrupt):
+    """Raised by the CLI's SIGTERM handler: a forked layer ends on it as on
+    Ctrl-C, killing and reaping its children."""
+
+
+def _terminate(signum: int, frame: object) -> None:
+    raise _Terminated
+
+
 def main(argv: list[str] | None = None) -> int:
+    # only a main thread may set a handler, and a SIGTERM ignored stays so
+    previous = signal.getsignal(signal.SIGTERM)
+    install = previous not in (signal.SIG_IGN, None) and (
+        threading.current_thread() is threading.main_thread()
+    )
+    if install:
+        signal.signal(signal.SIGTERM, _terminate)
+    try:
+        return _run(argv)
+    except _Terminated:
+        # the layer's children are gone: end as the SIGTERM would have
+        signal.signal(signal.SIGTERM, previous)
+        signal.raise_signal(signal.SIGTERM)
+        return 128 + signal.SIGTERM
+    finally:
+        if install:
+            signal.signal(signal.SIGTERM, previous)
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

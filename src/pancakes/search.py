@@ -77,7 +77,8 @@ which it expands itself; each child sets its candidate bits in its own part
 of an anonymous shared mapping and leaves through ``os._exit``, and the
 parent ORs those parts into its own candidate bitset. A child that fails or
 dies, or an exception in the parent, ends the layer: the parent kills and
-reaps every child before the error propagates. Smaller layers, and every
+reaps every child before the error propagates. A child whose parent dies
+leaves at its next block of ranks. Smaller layers, and every
 layer on a host without ``os.fork`` or in a process that runs other
 threads, run in the one process. Profiles are bit-identical for every
 worker count. The ball engine runs in one process.
@@ -464,6 +465,7 @@ def _expand_span(
     hi: int,
     bottom_up: bool,
     cand: np.ndarray,
+    parent: int | None = None,
 ) -> None:
     """Set in ``cand`` the next layer's vertices found from groups [lo, hi).
 
@@ -471,12 +473,16 @@ def _expand_span(
     groups' words; bottom-up, the unvisited vertices of the words with a
     neighbor in the frontier. ``cum`` is the layer's :func:`_work`. The
     groups go block by block (:func:`_blocks`) through one ranking state,
-    sized for the span's work up to a chunk.
+    sized for the span's work up to a chunk. A forked child passes the pid
+    of the ``parent`` that forked it, and leaves through ``os._exit`` at the
+    first block that finds that process gone.
     """
     group, nwords = _group_words(), visited.size
     state = _flip_ranks(graph, int(cum[hi] - cum[lo]))
     # a top-down block is a view of the frontier, of any number of groups
     for first, last in _blocks(cum, lo, hi, _bottom_up_groups() if bottom_up else hi):
+        if parent is not None and os.getppid() != parent:
+            os._exit(1)  # an orphan: no process reads its candidates
         block, top = first * group, min(last * group, nwords)
         if bottom_up:
             # the unvisited ranks are the set bits of an inverted copy whose
@@ -535,8 +541,9 @@ def _expand_forked(
     well. A child that fails or dies, or any exception here, such as a
     KeyboardInterrupt in the parent's own span, ends the layer: every child
     still running is killed and every child is reaped before it propagates.
+    A child whose parent dies leaves within a block (:func:`_expand_span`).
     """
-    nbytes = cand.nbytes
+    nbytes, parent = cand.nbytes, os.getpid()
     with mmap.mmap(-1, nbytes * (len(spans) - 1)) as shared:
         running: list[int] = []
         try:
@@ -547,6 +554,7 @@ def _expand_forked(
                         lambda: _expand_span(
                             graph, visited, frontier, cum, lo, hi, bottom_up,
                             np.frombuffer(shared, np.uint64, cand.size, part * nbytes),
+                            parent=parent,
                         )
                     )
                 running.append(pid)

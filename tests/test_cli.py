@@ -2,13 +2,16 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from pancakes import cli, formulas
+from pancakes import cli, formulas, search
+from pancakes.checkpoint import read_checkpoint
 from pancakes.cli import (
     EXIT_CONJECTURE,
     EXIT_IO,
@@ -580,6 +583,60 @@ class TestModuleEntryPoint:
     def test_usage_error(self, tmp_path):
         proc = self.run_module(tmp_path, "table", "--graph", "spicy", "--n", "4")
         assert proc.returncode == EXIT_USAGE and "spicy" in proc.stderr
+
+
+class TestSigterm:
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="forks its layers")
+    def test_a_forked_layer_leaves_no_child_and_the_checkpoint_reads_back(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # P_7 at chunks of 37 forks its layers 4 to 7 over three workers; a
+        # SIGTERM in the parent's own span of the first ends the layer as
+        # Ctrl-C does, then reaches the handler that was set before main
+        monkeypatch.setattr(search, "_CHUNK", 37)
+        parent, forked = os.getpid(), []
+        expand_forked, expand_span = search._expand_forked, search._expand_span
+
+        def forking(*args):
+            forked.append(True)
+            return expand_forked(*args)
+
+        def expanding(*args, **kwargs):
+            if forked and os.getpid() == parent:
+                os.kill(parent, signal.SIGTERM)
+            if forked:
+                time.sleep(60)  # until the signal, or the parent's SIGKILL
+            return expand_span(*args, **kwargs)
+
+        monkeypatch.setattr(search, "_expand_forked", forking)
+        monkeypatch.setattr(search, "_expand_span", expanding)
+        received = []
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: received.append(signum))
+        path = tmp_path / "p7.ckpt"
+        started = time.monotonic()
+        try:
+            code, out, _ = run(
+                capsys, "table", "--graph", "plain", "--n", "7", "--workers", "3",
+                "--checkpoint", str(path),
+            )
+            assert signal.getsignal(signal.SIGTERM) is not cli._terminate
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert time.monotonic() - started < 30
+        assert received == [signal.SIGTERM]
+        assert code == 128 + signal.SIGTERM and out == ""
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert read_checkpoint(path).counts == (1, 6, 30, 149)
+
+    def test_an_ignored_sigterm_stays_ignored(self, capsys):
+        previous = signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        try:
+            code, out, _ = run(capsys, "table", "--graph", "plain", "--n", "4")
+            assert signal.getsignal(signal.SIGTERM) is signal.SIG_IGN
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert code == EXIT_OK and out == "4,1,3,6,11,3\n"
 
 
 class TestUsage:

@@ -1,10 +1,12 @@
 """What each entry point imports: ``import pancakes`` loads nothing, and a
-CLI process loads only the modules its command runs.
+CLI process loads only the modules its command runs, with one BLAS thread.
 
 Every check runs in a fresh interpreter, since this process has long since
-imported everything.
+imported everything, and with ``OPENBLAS_NUM_THREADS`` unset unless a check
+sets it: a test process that has imported the CLI has it set.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -12,15 +14,23 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).parents[1] / "src"
 
 # the modules the public names come from
 PROVIDERS = ("perms", "graphs", "search", "checkpoint", "cycles", "formulas")
 
 
-def run_python(code: str) -> dict:
+BLAS_THREADS = "OPENBLAS_NUM_THREADS"
+
+
+def run_python(code: str, blas_threads: str | None = None) -> dict:
     """Run ``code`` in a fresh interpreter; it prints one JSON document."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop(BLAS_THREADS, None)
+    if blas_threads is not None:
+        env[BLAS_THREADS] = blas_threads
     proc = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code)],
         capture_output=True, text=True, env=env, check=False,
@@ -124,3 +134,55 @@ def test_table_command_does_not_load_formulas():
         """
     )
     assert result == {"code": 0, "out": "4,1,4,12,36\n", "formulas": False}
+
+
+THREADS = """
+    import json, os
+    tasks = "/proc/self/task"
+    print(json.dumps({
+        "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
+        "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }))
+"""
+
+
+def test_cli_runs_numpy_with_one_thread():
+    # the CLI calls no BLAS, and OpenBLAS starts a busy-waiting thread per core
+    result = run_python("import pancakes.cli\n" + textwrap.dedent(THREADS))
+    assert result["blas"] == "1"
+    if result["threads"] is None:
+        pytest.skip("counts threads in Linux's /proc")
+    assert result["threads"] == 1
+
+
+def test_cli_keeps_the_callers_blas_threads():
+    result = run_python("import pancakes.cli\n" + textwrap.dedent(THREADS), blas_threads="2")
+    assert result["blas"] == "2"
+
+
+def test_library_leaves_blas_threads_alone():
+    result = run_python("import pancakes, pancakes.search\n" + textwrap.dedent(THREADS))
+    assert result["blas"] is None
+
+
+def test_no_blas_backed_numpy_call():
+    # one BLAS thread is only free while pancakes calls no BLAS
+    blas = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum", "linalg"}
+    found = []
+    for path in sorted((SRC / "pancakes").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.alias):
+                name = node.name.rsplit(".", 1)[-1]
+            elif isinstance(node, ast.ImportFrom):
+                name = (node.module or "").rsplit(".", 1)[-1]
+            elif isinstance(node, ast.MatMult):
+                name = "@"
+            else:
+                continue
+            if name in blas or name == "@":
+                found.append(f"{path.name}: {name}")
+    assert found == []

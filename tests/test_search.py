@@ -6,9 +6,13 @@ import multiprocessing
 import os
 import random
 import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,6 +130,17 @@ def forked_candidates(monkeypatch):
 
     monkeypatch.setattr(search, "_expand_forked", recording)
     return shared
+
+
+def process_running(pid):
+    """Whether process ``pid`` exists and has not ended: an orphan that ends
+    may stay a zombie until the process that adopted it reaps it."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            # the state follows the parenthesized command name
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 def bottom_up_layers(g, counts, chunk):
@@ -491,8 +506,8 @@ class TestForkedWorkers:
         parent, expand = os.getpid(), search._expand_span
         widest, lock = shared_counts(1)
 
-        def expanding(*args):
-            expand(*args)
+        def expanding(*args, **kwargs):
+            expand(*args, **kwargs)
             if os.getpid() != parent:
                 with open("/proc/self/smaps_rollup") as fh:
                     private = sum(
@@ -521,7 +536,7 @@ class TestForkedWorkers:
             spans.extend(layer_spans)
             return expand_forked(graph, visited, frontier, cum, layer_spans, bottom_up, cand)
 
-        def expanding(graph, visited, frontier, cum, lo, hi, bottom_up, cand):
+        def expanding(graph, visited, frontier, cum, lo, hi, bottom_up, cand, **kwargs):
             if spans and os.getpid() == parent and case == "interrupted":
                 raise KeyboardInterrupt
             if os.getpid() != parent:
@@ -530,7 +545,7 @@ class TestForkedWorkers:
                 if (lo, hi) == spans[1] and case == "dies":
                     os.kill(os.getpid(), signal.SIGKILL)
                 time.sleep(60)  # until the parent kills it
-            return expand_span(graph, visited, frontier, cum, lo, hi, bottom_up, cand)
+            return expand_span(graph, visited, frontier, cum, lo, hi, bottom_up, cand, **kwargs)
 
         monkeypatch.setattr(search, "_expand_forked", forking)
         monkeypatch.setattr(search, "_expand_span", expanding)
@@ -547,6 +562,68 @@ class TestForkedWorkers:
         assert read_checkpoint(path).counts == expected[:4]
         monkeypatch.undo()
         assert resume(path, workers=3).counts == expected
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads Linux's process states")
+    def test_a_child_leaves_within_a_block_of_its_parent_dying(self, tmp_path):
+        # P_8 at chunks of 37 over two workers: a layer of at least 5000
+        # ranks gives the child dozens of blocks, each slowed to 50 ms. The
+        # parent sleeps in its own span until it is SIGKILLed, which runs no
+        # code of its, and the child then starts at most one more block
+        blocks = tmp_path / "blocks"
+        script = f"""
+            import os, sys, time
+            from pancakes import _kernels, search
+            from pancakes.graphs import GraphKind, PancakeGraph
+
+            search._CHUNK = 37
+            parent, busy = os.getpid(), []
+            expand_forked, expand_span = search._expand_forked, search._expand_span
+            extract = _kernels.bitset_extract_ranks
+
+            def forking(graph, visited, frontier, cum, spans, *args):
+                if cum[-1] >= 5000:
+                    busy.append(True)
+                return expand_forked(graph, visited, frontier, cum, spans, *args)
+
+            def expanding(*args, **kwargs):
+                if busy and os.getpid() == parent:
+                    print("forked", flush=True)
+                    time.sleep(60)
+                return expand_span(*args, **kwargs)
+
+            def extracting(*args, **kwargs):
+                if busy and os.getpid() != parent:
+                    with open({str(blocks)!r}, "a") as fh:
+                        fh.write(f"{{os.getpid()}}\\n")
+                    time.sleep(0.05)
+                return extract(*args, **kwargs)
+
+            search._expand_forked, search._expand_span = forking, expanding
+            _kernels.bitset_extract_ranks = extracting
+            search.layer_profile(PancakeGraph(GraphKind.PLAIN, 8), workers=2)
+        """
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", textwrap.dedent(script)],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        with proc:
+            try:
+                assert proc.stdout.readline() == "forked\n"
+                deadline = time.monotonic() + 30
+                while not (blocks.exists() and blocks.read_text()) and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            finally:
+                proc.kill()
+                proc.wait()
+        started = blocks.read_text().split()
+        assert len(set(started)) == 1
+        child = int(started[0])
+        deadline = time.monotonic() + 30
+        while process_running(child) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not process_running(child)
+        assert len(blocks.read_text().split()) <= len(started) + 1
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
