@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .graphs import GraphKind, PancakeGraph
-from .perms import Perm, SignedPerm, rank, srank
+from .perms import _lehmer, _signed_lehmer
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -62,7 +62,9 @@ def canonicalize(labels: Sequence[int]) -> tuple[int, ...]:
 
     The label sequence of a cycle is defined up to rotation (choice of start
     vertex) and reversal (traversal direction); the maximum over all 2L
-    candidates is the cycle's canonical form.
+    candidates is the cycle's canonical form. That maximum starts with the
+    largest label, so only the rotations, in both directions, that start at
+    an occurrence of it are compared.
 
     >>> canonicalize((2, 3, 2, 3, 2, 3))
     (3, 2, 3, 2, 3, 2)
@@ -72,11 +74,12 @@ def canonicalize(labels: Sequence[int]) -> tuple[int, ...]:
     t = tuple(labels)
     if not t:
         raise ValueError("empty label sequence")
-    length = len(t)
-    rev = t[::-1]
+    top = max(t)
     return max(
-        max(t[s:] + t[:s] for s in range(length)),
-        max(rev[s:] + rev[:s] for s in range(length)),
+        seq[s:] + seq[:s]
+        for seq in (t, t[::-1])
+        for s, label in enumerate(seq)
+        if label == top
     )
 
 
@@ -307,8 +310,9 @@ def enumerate_cycles(
     flip labels in ascending order, never undo the previous flip and never
     revisit a vertex. Each cycle has two identity-rooted traversals (one per
     direction); the one whose first interior vertex is the lexicographically
-    smaller tuple is kept. Output is sorted by canonical form, then vertex
-    ranks.
+    smaller tuple is kept. Each distinct vertex of the found cycles is
+    ranked once per call, from its entry tuple; no :class:`Perm` is built.
+    Output is sorted by canonical form, then vertex ranks.
     """
     if not 3 <= length <= 12:
         raise UnsupportedLengthError(
@@ -326,9 +330,14 @@ def enumerate_cycles(
     flip = _flip_burnt if burnt else _flip_plain
     flips = list(graph.flip_indices)
     identity = tuple(range(1, graph.n + 1))
+    # vertex -> rank, filled as cycles are found; many cycles share a vertex
+    rank_memo: dict[tuple[int, ...], int] = {}
 
-    def rank_of(entries: tuple[int, ...]) -> int:
-        return srank(SignedPerm(entries)) if burnt else rank(Perm(entries))
+    def rank_of(v: tuple[int, ...]) -> int:
+        r = rank_memo.get(v)
+        if r is None:
+            r = rank_memo[v] = _signed_lehmer(v) if burnt else _lehmer(v)
+        return r
 
     path: list[tuple[int, ...]] = [identity]
     on_path: set[tuple[int, ...]] = {identity}

@@ -12,13 +12,18 @@ signed variant also negates them), i.e. flips act by right multiplication.
 Ranks are lexicographic (Lehmer-code) indices: ``rank`` maps S_n onto
 ``[0, n!)`` and ``srank`` maps signed permutations onto ``[0, 2^n * n!)`` with
 the unsigned rank in the high bits and one sign bit per position in the low
-``n`` bits, so all sign variants of one arrangement are contiguous.
+``n`` bits, so all sign variants of one arrangement are contiguous. Both are
+thin calls into one Lehmer ranking of a bare entry tuple (``_lehmer``, and
+``_signed_lehmer`` for the sign bits); the cycle census calls it directly, so
+each vertex it finds is ranked once, without building a :class:`Perm`.
+Validation stays in the :class:`Perm` and :class:`SignedPerm` constructors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 # a signed entry -n fits the int8 windows of the whole-batch signed kernels
 # (batch_sunrank, batch_signed_flip, batch_srank), and n the u8 of a
@@ -143,17 +148,36 @@ def apply_signed_flip(s: SignedPerm, i: int) -> SignedPerm:
     return SignedPerm(tuple(-v for v in e[i - 1 :: -1]) + e[i:])
 
 
+def _lehmer(values: Sequence[int]) -> int:
+    """Lexicographic index of ``values``, a permutation of [n], by Horner's rule.
+
+    Each value's Lehmer digit is its index among the values not yet seen.
+    It takes the bare entries, so a caller that holds them as a tuple ranks
+    them without building (and validating) a :class:`Perm`.
+    """
+    n = len(values)
+    pool = list(range(1, n + 1))
+    r = 0
+    for pos, v in enumerate(values):
+        d = pool.index(v)
+        del pool[d]
+        r = r * (n - pos) + d
+    return r
+
+
+def _signed_lehmer(entries: Sequence[int]) -> int:
+    """:func:`_lehmer` of the absolute values, shifted above one sign bit per
+    position in the low ``n`` bits."""
+    bits = 0
+    for idx, v in enumerate(entries):
+        if v < 0:
+            bits |= 1 << idx
+    return _lehmer([abs(v) for v in entries]) << len(entries) | bits
+
+
 def rank(p: Perm) -> int:
     """Lexicographic index of ``p`` among all n! one-line notations."""
-    e = p.entries
-    n = len(e)
-    r = 0
-    f = math.factorial(n - 1)
-    for pos in range(n - 1):
-        smaller = sum(1 for k in range(pos + 1, n) if e[k] < e[pos])
-        r += smaller * f
-        f //= n - 1 - pos
-    return r
+    return _lehmer(p.entries)
 
 
 def unrank(n: int, r: int) -> Perm:
@@ -173,12 +197,7 @@ def unrank(n: int, r: int) -> Perm:
 
 def srank(s: SignedPerm) -> int:
     """Unsigned rank of |s| in the high bits, one sign bit per position below."""
-    n = s.n
-    bits = 0
-    for idx, v in enumerate(s.entries):
-        if v < 0:
-            bits |= 1 << idx
-    return rank(Perm(tuple(abs(v) for v in s.entries))) * (1 << n) + bits
+    return _signed_lehmer(s.entries)
 
 
 def sunrank(n: int, r: int) -> SignedPerm:

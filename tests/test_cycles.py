@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import (
+    all_perms,
+    all_signed_perms,
     brute_force_cycles,
     canonical_form,
     dfs_cycles_reference,
@@ -42,6 +44,16 @@ label_sequences = st.lists(
 ).map(tuple)
 
 
+@st.composite
+def tied_top_sequences(draw):
+    """Label sequences whose largest label occurs 2 to 4 times, in any order:
+    the rotations that start at it tie on their first label."""
+    top = draw(st.integers(min_value=2, max_value=9))
+    rest = draw(st.lists(st.integers(min_value=1, max_value=top - 1), max_size=8))
+    copies = draw(st.integers(min_value=2, max_value=4))
+    return tuple(draw(st.permutations(rest + [top] * copies)))
+
+
 class TestCanonicalize:
     def test_rotates_to_maximal(self):
         assert canonicalize((2, 3, 2, 3, 2, 3)) == (3, 2, 3, 2, 3, 2)
@@ -63,6 +75,10 @@ class TestCanonicalize:
     def test_matches_independent_oracle(self):
         for labels in [(2, 3, 2, 3, 2, 3), (4, 2, 4, 3, 1), (1, 2, 3), (7,)]:
             assert canonicalize(labels) == canonical_form(labels)
+
+    @given(st.one_of(label_sequences, tied_top_sequences()))
+    def test_matches_oracle_on_any_sequence(self, labels):
+        assert canonicalize(labels) == canonical_form(labels)
 
     @given(label_sequences)
     def test_idempotent(self, labels):
@@ -152,6 +168,35 @@ class TestEnumerate:
             joined = [(c.labels, c.ranks) for c in enumerate_cycles(g, length)]
             reference = [(c.labels, c.ranks) for c in dfs_cycles_reference(g, length)]
             assert joined == reference, length
+
+    @pytest.mark.parametrize("kind,n,length,total", [(PLAIN, 8, 8, 316), (BURNT, 6, 9, 240)])
+    def test_ranks_are_the_walked_forms_beyond_dfs_reach(self, kind, n, length, total):
+        # Each rotation or reversal of a form, walked from the identity with
+        # graph.apply, traces a cycle through the identity with that form, and
+        # every such cycle is traced so. The vertices are ranked by their index
+        # in the sorted enumeration, which shares no code with the census's
+        # flips, its rank memo or the tuple ranker behind rank and srank.
+        g = graph(kind, n)
+        order = all_signed_perms(n) if kind is BURNT else all_perms(n)
+        index = {v: r for r, v in enumerate(order)}
+        cycles = enumerate_cycles(g, length)
+        assert len(cycles) == total
+        by_form = {}
+        for c in cycles:
+            by_form.setdefault(c.labels, []).append(c.ranks)
+        for form, census_ranks in by_form.items():
+            walked = set()
+            for seq in (form, form[::-1]):
+                for s in range(length):
+                    v = g.identity
+                    visited = []
+                    for label in seq[s:] + seq[:s]:
+                        visited.append(index[v.entries])
+                        v = g.apply(v, label)
+                    assert v == g.identity
+                    assert len(set(visited)) == length
+                    walked.add(tuple(sorted(visited)))
+            assert sorted(census_ranks) == sorted(walked), form
 
     def test_output_sorted_and_deterministic(self):
         first = enumerate_cycles(graph(PLAIN, 4), 8)
