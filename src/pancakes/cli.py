@@ -14,16 +14,24 @@ The ``PANCAKE_MEM_LIMIT`` environment variable overrides the default 4 GiB
 memory budget; ``--memory-limit`` overrides both. A CLI process runs
 OpenBLAS with one thread unless ``OPENBLAS_NUM_THREADS`` is already set,
 since no command calls BLAS. A SIGTERM ends a forked layer as Ctrl-C does:
-its children are killed and reaped before the process ends.
+its children are killed and reaped before the process ends. At exit the
+process freezes its objects (``gc.freeze``), so the interpreter's shutdown
+collections skip the heap that the OS is about to reclaim; nothing changes
+while a command runs.
 """
 
 from __future__ import annotations
 
+import atexit
+import gc
 import os
 
 # before NumPy loads: pancakes calls no BLAS, and OpenBLAS's pool of one
 # thread per core busy-waits for a first job that never comes
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# the shutdown collections would walk every imported object (~22k with
+# NumPy) just before the OS reclaims them all
+atexit.register(gc.freeze)
 
 import argparse
 import signal
@@ -39,14 +47,6 @@ from .cycles import (
 )
 from .graphs import GraphKind, PancakeGraph
 from .perms import ParseError, PermError, format_perm, parse_perm
-from .reports import (
-    census_document,
-    crosscheck_document,
-    fit_document,
-    identity_document,
-    render,
-    table_document,
-)
 from .search import (
     LayerProfile,
     MemoryLimitError,
@@ -200,6 +200,9 @@ def cmd_table(args: argparse.Namespace, out: TextIO) -> int:
         raise ValueError("--checkpoint requires a single n, not a range")
     profiles = [_profile(args, n) for n in args.ns]
     if args.format == "json":
+        # only a JSON document loads the renderer, here and in every command
+        from .reports import render, table_document
+
         out.write(render(table_document(args.kind, profiles)))
         return EXIT_OK
     if args.k is not None:
@@ -252,6 +255,8 @@ def cmd_cycles(args: argparse.Namespace, out: TextIO) -> int:
     graph = PancakeGraph(args.kind, args.n)
     report = verify_classification(graph, args.length, node_budget=args.node_budget)
     if args.format == "json":
+        from .reports import census_document, render
+
         out.write(render(census_document(report)))
     else:
         lines = [
@@ -276,9 +281,10 @@ def cmd_cycles(args: argparse.Namespace, out: TextIO) -> int:
 
 def cmd_formulas_check(args: argparse.Namespace, out: TextIO) -> int:
     # only the formulas commands import the formula registry: it adds about
-    # 20 ms to a start-up that spends 90-160 ms importing pancakes.search
-    # (python -X importtime, 2 vCPUs), and a table needs none of it; they
-    # call through the module, so a check replaced there is the one that runs
+    # 13 ms (9 ms from a bytecode cache) to a start-up that spends about
+    # 60 ms importing pancakes.search, NumPy included (python -X importtime,
+    # median of 9, 2 vCPUs), and a table needs none of it; they call
+    # through the module, so a check replaced there is the one that runs
     from . import formulas
 
     name = args.which.strip().lower()
@@ -295,6 +301,8 @@ def cmd_formulas_check(args: argparse.Namespace, out: TextIO) -> int:
         )
         report = checker(args.k, n)
         if args.format == "json":
+            from .reports import identity_document, render
+
             out.write(render(identity_document(report)))
         else:
             detail = ""
@@ -322,6 +330,8 @@ def cmd_formulas_check(args: argparse.Namespace, out: TextIO) -> int:
     ]
     report = formulas.crosscheck(args.which, profiles)
     if args.format == "json":
+        from .reports import crosscheck_document, render
+
         out.write(render(crosscheck_document(report)))
     else:
         lines = [f"{report.name} ({report.status.value}) vs search output"]
@@ -363,6 +373,8 @@ def cmd_formulas_fit(args: argparse.Namespace, out: TextIO) -> int:
         print(f"result: {exc}", file=sys.stderr)
         return EXIT_CONJECTURE
     if args.format == "json":
+        from .reports import fit_document, render
+
         out.write(render(fit_document(args.kind, args.k, points, fit)))
     else:
         out.write(

@@ -566,22 +566,40 @@ class TestSharedOptions:
         assert not target.exists()
 
 
+def run_module(tmp_path, *argv, text=True):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "pancakes", *argv],
+        capture_output=True, text=text, env=env, cwd=tmp_path,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv", EVERY_SUBCOMMAND.values(), ids=EVERY_SUBCOMMAND.keys()
+)
+class TestSharedOptionsInAProcess:
+    """What a CLI process writes is what ``main`` writes in this one: none of it
+    waits for the interpreter's exit, where the CLI freezes its objects."""
+
+    def test_stdout_and_output_file_match_main(self, capsys, tmp_path, argv):
+        code, expected, _ = run(capsys, *argv)
+        proc = run_module(tmp_path, *argv, text=False)
+        assert (proc.returncode, proc.stdout) == (code, expected.encode())
+        target = tmp_path / "out"
+        proc = run_module(tmp_path, *argv, "--output", str(target), text=False)
+        assert (proc.returncode, proc.stdout) == (code, b"")
+        assert target.read_bytes() == expected.encode()
+
+
 class TestModuleEntryPoint:
     """``python -m pancakes`` passes main's exit code to the shell."""
 
-    def run_module(self, tmp_path, *argv):
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-        return subprocess.run(
-            [sys.executable, "-m", "pancakes", *argv],
-            capture_output=True, text=True, env=env, cwd=tmp_path,
-        )
-
     def test_success(self, tmp_path):
-        proc = self.run_module(tmp_path, "table", "--graph", "plain", "--n", "4")
+        proc = run_module(tmp_path, "table", "--graph", "plain", "--n", "4")
         assert proc.returncode == EXIT_OK and proc.stdout == "4,1,3,6,11,3\n"
 
     def test_usage_error(self, tmp_path):
-        proc = self.run_module(tmp_path, "table", "--graph", "spicy", "--n", "4")
+        proc = run_module(tmp_path, "table", "--graph", "spicy", "--n", "4")
         assert proc.returncode == EXIT_USAGE and "spicy" in proc.stderr
 
 

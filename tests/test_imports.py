@@ -1,5 +1,6 @@
 """What each entry point imports: ``import pancakes`` loads nothing, and a
-CLI process loads only the modules its command runs, with one BLAS thread.
+CLI process loads only the modules its command runs, with one BLAS thread,
+and freezes its objects at exit.
 
 Every check runs in a fresh interpreter, since this process has long since
 imported everything, and with ``OPENBLAS_NUM_THREADS`` unset unless a check
@@ -130,10 +131,59 @@ def test_table_command_does_not_load_formulas():
             "code": code,
             "out": out.getvalue(),
             "formulas": "pancakes.formulas" in sys.modules,
+            "reports": "pancakes.reports" in sys.modules,
         }))
         """
     )
-    assert result == {"code": 0, "out": "4,1,4,12,36\n", "formulas": False}
+    assert result == {"code": 0, "out": "4,1,4,12,36\n", "formulas": False, "reports": False}
+
+
+# registered before the module under test is imported, so it runs after every
+# exit callback that module registers: atexit runs them last-in-first-out
+FREEZE_AT_EXIT = """
+    import atexit, gc, json
+    atexit.register(lambda: print(json.dumps(gc.get_freeze_count())))
+"""
+
+
+def test_cli_freezes_its_objects_at_exit():
+    # the shutdown collections then skip the heap the OS is about to reclaim
+    frozen = run_python(textwrap.dedent(FREEZE_AT_EXIT) + "import pancakes.cli\n")
+    assert frozen > 0
+
+
+def test_library_leaves_the_collector_alone_at_exit():
+    frozen = run_python(
+        textwrap.dedent(FREEZE_AT_EXIT)
+        + "import pancakes, pancakes.search, pancakes.cycles, pancakes.formulas\n"
+    )
+    assert frozen == 0
+
+
+def test_cli_leaves_the_collector_alone_while_a_command_runs():
+    result = run_python(
+        """
+        import contextlib, gc, io, json
+        from pancakes import cli
+
+        seen = []
+        layer_profile = cli.layer_profile
+
+        def probe(*args, **kwargs):
+            seen.append([gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()])
+            return layer_profile(*args, **kwargs)
+
+        cli.layer_profile = probe
+        before = [gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["table", "--graph", "plain", "--n", "5..6"])
+        print(json.dumps({"code": code, "before": before, "seen": seen}))
+        """
+    )
+    assert result["code"] == 0 and len(result["seen"]) == 2
+    frozen, enabled, _ = result["before"]
+    assert frozen == 0 and enabled
+    assert result["seen"] == [result["before"]] * 2
 
 
 THREADS = """
