@@ -3,9 +3,12 @@
 Every simple cycle of length L through the identity is found by joining
 simple paths of about L/2 flips from the identity that end at the same vertex
 and share no other vertex (vertex transitivity makes the identity-rooted
-census representative of the whole graph). A cycle is reported by its
-canonical form: the lexicographically maximal flip-label sequence over all
-rotations of either traversal direction.
+census representative of the whole graph). The paths are grown a flip at a
+time as rows of vertex ranks, which the batch kernels of
+:mod:`pancakes._kernels` rank, and are joined by sorting one half by
+endpoint. A cycle is reported by its canonical form: the lexicographically
+maximal flip-label sequence over all rotations of either traversal
+direction.
 
 The known classification results give parameterized label templates for every
 cycle of lengths 6-9 (plain) and 8-9 (burnt). Each family in ``FAMILIES`` is
@@ -26,8 +29,11 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
+import numpy as np
+
+from . import _kernels as K
 from .graphs import GraphKind, PancakeGraph
-from .perms import _lehmer, _signed_lehmer
+from .perms import _flip, _lehmer, _signed_flip, _signed_lehmer
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -140,6 +146,16 @@ def _parse(signature: str) -> tuple[tuple[tuple[int, str | int], ...], ...]:
     )
 
 
+@functools.cache
+def _names(signature: str) -> tuple[str, ...]:
+    """The parameters a template names, sorted.
+
+    >>> _names("k-j+i i 2")
+    ('i', 'j', 'k')
+    """
+    return tuple(sorted({a for label in _parse(signature) for _, a in label if isinstance(a, str)}))
+
+
 @dataclass(frozen=True, slots=True)
 class CycleFamily:
     """A parameterized label template, e.g. "k k-1 k k-1 k-2 k 2".
@@ -162,7 +178,7 @@ class CycleFamily:
 
     @property
     def length(self) -> int:
-        return len(self.signature.split())
+        return len(_parse(self.signature))
 
     def build(self, **params: int) -> tuple[int, ...]:
         """The template's labels at these parameter values."""
@@ -173,7 +189,7 @@ class CycleFamily:
 
     def instances(self, k: int) -> Iterator[dict[str, int]]:
         """Every in-range parameter dict whose largest label is ``k``."""
-        names = sorted(set(re.findall("[a-z]", self.signature)))
+        names = _names(self.signature)
         free = [name for name in names if name != "k"]
         fixed = {"k": k} if "k" in names else {}
         for values in itertools.product(range(1, k + 1), repeat=len(free)):
@@ -273,14 +289,6 @@ def match_form(form: Sequence[int], kind: GraphKind) -> FamilyMatch | _Unmatched
     return _matches(kind, len(f), max(f)).get(f, UNMATCHED)
 
 
-def _flip_plain(entries: tuple[int, ...], i: int) -> tuple[int, ...]:
-    return entries[i - 1 :: -1] + entries[i:]
-
-
-def _flip_burnt(entries: tuple[int, ...], i: int) -> tuple[int, ...]:
-    return tuple(-e for e in entries[i - 1 :: -1]) + entries[i:]
-
-
 def _dfs_node_estimate(degree: int, length: int) -> int:
     # Nodes a depth-``length`` DFS would expand: after the first step the
     # previous flip is never repeated, so its tree branches by (degree - 1).
@@ -291,6 +299,146 @@ def _dfs_node_estimate(degree: int, length: int) -> int:
     # last two terms of this sum already reach, so the estimate bounds the
     # pairs and as a gate it is conservative.
     return sum(degree * max(degree - 1, 1) ** (d - 1) for d in range(1, length + 1))
+
+
+def _neighbor_ranks(graph: PancakeGraph, ends: np.ndarray) -> np.ndarray:
+    """Ranks of every flip of the vertices ``ends``, shape (flips, m), flips ascending."""
+    burnt = graph.kind is GraphKind.BURNT
+    flips = graph.flip_indices
+    if ends.dtype == object:
+        # ranks past int64, which the kernels refuse: flip and rank entry tuples
+        flip, rank = (_signed_flip, _signed_lehmer) if burnt else (_flip, _lehmer)
+        rows = [graph.unrank(r).entries for r in ends]
+        nested = [[rank(flip(v, i)) for v in rows] for i in flips]
+        return np.array(nested, dtype=object).reshape(len(flips), ends.size)
+    state = K.FlipRanks(graph.n, ends.size, signed=burnt)
+    perms = state.load(ends)
+    out = np.empty((len(flips), ends.size), dtype=np.int64)
+    for row, i in zip(out, flips):
+        row[:] = K.batch_rank(perms, i, state)
+    return out
+
+
+def _extend(
+    graph: PancakeGraph, ranks: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every simple one-flip extension of the simple paths from the identity
+    whose vertex ranks are the rows of ``ranks`` and flips those of ``labels``.
+
+    A flip is kept where its rank differs from every vertex of its path,
+    which also drops the flip that undoes the last one. Extensions come path
+    by path, flips ascending within each: the order of a DFS.
+    """
+    neighbors = _neighbor_ranks(graph, ranks[:, -1])
+    fresh = np.ones(neighbors.shape, dtype=bool)
+    for column in ranks.T:
+        fresh &= neighbors != column
+    rows, k = np.nonzero(fresh.T)
+    flips = np.array(graph.flip_indices, dtype=np.uint8)
+    return (
+        np.column_stack((ranks[rows], neighbors[k, rows])),
+        np.column_stack((labels[rows], flips[k])),
+    )
+
+
+def _canonical_forms(labels: np.ndarray) -> np.ndarray:
+    """:func:`canonicalize` of each row of the (m, L) uint8 array ``labels``.
+
+    A rotation is read as an L-digit number in base top + 1, where top is
+    the largest label, so the lexicographic maximum is the largest number.
+    Each rotation's number is rolled from the one before it in three steps:
+    drop the leading digit, shift, append it. The numbers are below
+    (top + 1)^L: Python ints where that outgrows int64.
+    """
+    m, length = labels.shape
+    base = int(labels.max(initial=0)) + 1
+    dtype = np.int64 if base**length <= 1 << 63 else object
+    digits = labels.astype(dtype)
+    high = base ** (length - 1)
+    best = np.zeros(m, dtype=dtype)
+    for seq in (digits, digits[:, ::-1]):
+        key = np.zeros(m, dtype=dtype)
+        for column in seq.T:
+            key *= base
+            key += column
+        np.maximum(best, key, out=best)
+        for column in seq.T[:-1]:
+            key -= column * high
+            key *= base
+            key += column
+            np.maximum(best, key, out=best)
+    forms = np.empty((m, length), dtype=np.uint8)
+    for j in range(length - 1, -1, -1):
+        forms[:, j] = best % base
+        best //= base
+    return forms
+
+
+def _half_paths(graph: PancakeGraph, length: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The simple paths of a = ceil(length / 2) and of b = length - a flips
+    from the identity, each as (vertex ranks, flip labels)."""
+    b = length // 2
+    ranks = np.zeros((1, 1), dtype=np.int64 if graph.size <= 1 << 63 else object)
+    labels = np.zeros((1, 0), dtype=np.uint8)
+    for depth in range(1, length - b + 1):
+        ranks, labels = _extend(graph, ranks, labels)
+        if depth == b:
+            b_paths = ranks, labels
+    return (ranks, labels), b_paths
+
+
+def _join(
+    a_paths: tuple[np.ndarray, np.ndarray], b_paths: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Label sequences and vertex ranks of the kept traversals, (m, L) each.
+
+    An a-path and a b-path that end at the same vertex and share no other
+    vertex but the identity close a traversal: the a-path's labels, then
+    the b-path's reversed. The b-paths are sorted by endpoint and paired
+    with a block of a-paths at a time, at most as many pairs per block as
+    there are a-paths.
+    """
+    (a_ranks, a_labels), (b_ranks, b_labels) = a_paths, b_paths
+    a, b = a_labels.shape[1], b_labels.shape[1]
+    order = np.argsort(b_ranks[:, -1], kind="stable")
+    ends = b_ranks[order, -1]
+    lo = np.searchsorted(ends, a_ranks[:, -1], side="left")
+    counts = np.searchsorted(ends, a_ranks[:, -1], side="right") - lo
+    cum = np.cumsum(counts)
+    traversals, vertices = [], []
+    start = 0
+    while start < len(a_ranks):
+        done = int(cum[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(cum, done + len(a_ranks), side="right")))
+        c = counts[start:stop]
+        ai = np.repeat(np.arange(start, stop), c)
+        # pair p of a-path ai takes the b-path at sorted place lo[ai] + p
+        bi = order[np.repeat(lo[start:stop] - (cum[start:stop] - c - done), c) + np.arange(ai.size)]
+        keep = a_ranks[ai, 1] < b_ranks[bi, 1]
+        ai, bi = ai[keep], bi[keep]
+        pa, pb = a_ranks[ai], b_ranks[bi]
+        keep = np.ones(ai.size, dtype=bool)
+        for i in range(1, a):
+            for j in range(1, b):
+                keep &= pa[:, i] != pb[:, j]
+        vertices.append(np.concatenate((pa[keep], pb[keep, 1:-1]), axis=1))
+        traversals.append(np.concatenate((a_labels[ai[keep]], b_labels[bi[keep], ::-1]), axis=1))
+        start = stop
+    if not vertices:
+        return np.empty((0, a + b), dtype=np.uint8), np.empty((0, a + b), dtype=a_ranks.dtype)
+    return np.concatenate(traversals), np.concatenate(vertices)
+
+
+def _row_tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
+    """The rows of a 2-D array as tuples of Python ints.
+
+    A record view turns each row into a tuple directly, without the list of
+    lists that ``tolist`` builds first; rows of Python ints take that route.
+    """
+    if rows.dtype == object:
+        return list(map(tuple, rows.tolist()))
+    record = np.dtype([("", rows.dtype)] * rows.shape[1])
+    return np.ascontiguousarray(rows).view(record).ravel().tolist()
 
 
 def enumerate_cycles(
@@ -304,15 +452,17 @@ def enumerate_cycles(
     Meet in the middle: with a = ceil(L/2) and b = L - a, a traversal
     v0 v1 ... v_{L-1} of a cycle from the identity v0 is a simple a-flip path
     v0 ... v_a joined to a simple b-flip path v0 v_{L-1} ... v_a whose
-    interior is disjoint from the first path. One DFS collects the b-flip
-    paths by endpoint; a second DFS to depth a streams the a-flip paths and
-    joins each with the stored paths that end where it ends. Both DFSs take
-    flip labels in ascending order, never undo the previous flip and never
-    revisit a vertex. Each cycle has two identity-rooted traversals (one per
-    direction); the one whose first interior vertex is the lexicographically
-    smaller tuple is kept. Each distinct vertex of the found cycles is
-    ranked once per call, from its entry tuple; no :class:`Perm` is built.
-    Output is sorted by canonical form, then vertex ranks.
+    interior is disjoint from the first path. The simple paths from the
+    identity are grown one flip at a time, all paths of a level at once, as
+    rows of vertex ranks and of flip labels: the kernels rank every flip of
+    a level's endpoints, and a flip is kept where its rank is new to its
+    path. The b-paths are level b and the a-paths level a. The b-paths are
+    sorted by endpoint, and each block of a-paths is paired with those that
+    end where it ends. Each cycle has two identity-rooted traversals (one per
+    direction); the one whose first vertex after the identity has the
+    smaller rank is kept. The canonical forms and the sorted vertex ranks of
+    all kept traversals are then computed in one pass each. Output is sorted
+    by canonical form, then vertex ranks.
     """
     if not 3 <= length <= 12:
         raise UnsupportedLengthError(
@@ -326,72 +476,20 @@ def enumerate_cycles(
             f"{estimate:,} nodes, exceeding the budget of {budget:,}"
         )
 
-    burnt = graph.kind is GraphKind.BURNT
-    flip = _flip_burnt if burnt else _flip_plain
-    flips = list(graph.flip_indices)
-    identity = tuple(range(1, graph.n + 1))
-    # vertex -> rank, filled as cycles are found; many cycles share a vertex
-    rank_memo: dict[tuple[int, ...], int] = {}
-
-    def rank_of(v: tuple[int, ...]) -> int:
-        r = rank_memo.get(v)
-        if r is None:
-            r = rank_memo[v] = _signed_lehmer(v) if burnt else _lehmer(v)
-        return r
-
-    path: list[tuple[int, ...]] = [identity]
-    on_path: set[tuple[int, ...]] = {identity}
-    labels: list[int] = []
-
-    def walk(v: tuple[int, ...], depth: int, visit: Callable[[], None]) -> None:
-        """Call ``visit`` at each simple extension of ``path`` to ``depth`` flips."""
-        previous = labels[-1] if labels else 0
-        for i in flips:
-            if i == previous:
-                continue  # flips are involutions; this undoes the last step
-            w = flip(v, i)
-            if w in on_path:
-                continue
-            labels.append(i)
-            path.append(w)
-            on_path.add(w)
-            if len(labels) == depth:
-                visit()
-            else:
-                walk(w, depth, visit)
-            labels.pop()
-            path.pop()
-            on_path.remove(w)
-
-    # endpoint -> (first vertex after the identity, interior vertices, labels
-    # in the order the joined traversal takes them) of each b-flip path
-    halves: dict[tuple[int, ...], list] = {}
-
-    def store() -> None:
-        halves.setdefault(path[-1], []).append(
-            (path[1], tuple(path[1:-1]), tuple(reversed(labels)))
-        )
-
-    found: dict[tuple[tuple[int, ...], tuple[int, ...]], Cycle] = {}
-
-    def join() -> None:
-        for last, interior, closing in halves.get(path[-1], ()):
-            if path[1] > last:
-                continue  # the reverse traversal of a cycle already (or later) kept
-            if not on_path.isdisjoint(interior):
-                continue
-            form = canonicalize(tuple(labels) + closing)
-            ranks = tuple(sorted(rank_of(v) for v in itertools.chain(path, interior)))
-            key = (form, ranks)
-            if key in found:
-                raise AssertionError(
-                    f"two traversals of distinct cycles collided on {key}"
-                )
-            found[key] = Cycle(form, ranks)
-
-    walk(identity, length // 2, store)
-    walk(identity, length - length // 2, join)
-    return sorted(found.values(), key=lambda c: (c.labels, c.ranks))
+    traversals, vertices = _join(*_half_paths(graph, length))
+    if not len(vertices):
+        return []
+    forms = _canonical_forms(traversals)
+    vertices.sort(axis=1)
+    order = np.lexsort((*vertices.T[::-1], *forms.T[::-1]))
+    forms, vertices = forms[order], vertices[order]
+    twins = np.flatnonzero(
+        (forms[1:] == forms[:-1]).all(axis=1) & (vertices[1:] == vertices[:-1]).all(axis=1)
+    )
+    if twins.size:
+        key = (tuple(forms[twins[0]].tolist()), tuple(vertices[twins[0]].tolist()))
+        raise AssertionError(f"two traversals of distinct cycles collided on {key}")
+    return [Cycle(f, v) for f, v in zip(_row_tuples(forms), _row_tuples(vertices))]
 
 
 @dataclass(frozen=True, slots=True)
@@ -425,14 +523,15 @@ class CensusReport:
 
 def _walk_closes_simply(graph: PancakeGraph, form: tuple[int, ...]) -> bool:
     """Apply the labels from the identity: L distinct vertices, then return."""
-    v = graph.identity
+    flip = _signed_flip if graph.kind is GraphKind.BURNT else _flip
+    identity = v = tuple(range(1, graph.n + 1))
     seen = {v}
     for label in form[:-1]:
-        v = graph.apply(v, label)
+        v = flip(v, label)
         if v in seen:
             return False
         seen.add(v)
-    return graph.apply(v, form[-1]) == graph.identity
+    return flip(v, form[-1]) == identity
 
 
 def verify_classification(

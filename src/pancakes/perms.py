@@ -14,9 +14,12 @@ Ranks are lexicographic (Lehmer-code) indices: ``rank`` maps S_n onto
 the unsigned rank in the high bits and one sign bit per position in the low
 ``n`` bits, so all sign variants of one arrangement are contiguous. Both are
 thin calls into one Lehmer ranking of a bare entry tuple (``_lehmer``, and
-``_signed_lehmer`` for the sign bits); the cycle census calls it directly, so
-each vertex it finds is ranked once, without building a :class:`Perm`.
-Validation stays in the :class:`Perm` and :class:`SignedPerm` constructors.
+``_signed_lehmer`` for the sign bits), as :func:`apply_flip` and
+:func:`apply_signed_flip` are into one flip of a bare entry tuple per kind
+(``_flip`` and ``_signed_flip``). The cycle census calls these directly: its
+closing check flips entry tuples, and it ranks them where ranks outgrow the
+int64 of the batch kernels. Validation stays in the :class:`Perm` and
+:class:`SignedPerm` constructors.
 """
 
 from __future__ import annotations
@@ -132,20 +135,28 @@ class SignedPerm:
         return format_perm(self)
 
 
+def _flip(entries: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """Bare entries with the first ``i`` reversed; ``i`` is not checked."""
+    return entries[i - 1 :: -1] + entries[i:]
+
+
+def _signed_flip(entries: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """Bare entries with the first ``i`` reversed and negated; ``i`` is not checked."""
+    return tuple(-v for v in entries[i - 1 :: -1]) + entries[i:]
+
+
 def apply_flip(p: Perm, i: int) -> Perm:
     """Reverse the first ``i`` entries of ``p`` (2 <= i <= n)."""
     if not 2 <= i <= p.n:
         raise FlipRangeError(f"flip index {i} out of range [2, {p.n}]")
-    e = p.entries
-    return Perm(e[i - 1 :: -1] + e[i:])
+    return Perm(_flip(p.entries, i))
 
 
 def apply_signed_flip(s: SignedPerm, i: int) -> SignedPerm:
     """Reverse and negate the first ``i`` entries of ``s`` (1 <= i <= n)."""
     if not 1 <= i <= s.n:
         raise FlipRangeError(f"flip index {i} out of range [1, {s.n}]")
-    e = s.entries
-    return SignedPerm(tuple(-v for v in e[i - 1 :: -1]) + e[i:])
+    return SignedPerm(_signed_flip(s.entries, i))
 
 
 def _lehmer(values: Sequence[int]) -> int:

@@ -6,7 +6,8 @@ hash-set BFS over tuples, and label-product cycle enumeration. Slow but
 obviously correct at the small sizes the tests use. The exceptions are the
 package's own earlier algorithms, kept to check that their replacements
 return exactly the same results: ``dfs_cycles_reference``, the depth-L cycle
-enumeration, ``match_form_reference``, the family-by-family scan of the
+enumeration, ``half_path_cycles_reference``, its successor, the tuple
+half-path join, ``match_form_reference``, the family-by-family scan of the
 cycle classification, ``bfs_walk_reference``, the bitset-BFS distance
 query, and ``con63_rhs_reference`` and ``fit_newton_reference``, the binomial double
 sum and the difference loop of the formula checks.
@@ -29,8 +30,6 @@ from pancakes.cycles import (
     Cycle,
     FamilyMatch,
     _Unmatched,
-    _flip_burnt,
-    _flip_plain,
     canonicalize,
 )
 from pancakes.formulas import (
@@ -41,7 +40,16 @@ from pancakes.formulas import (
     published_cells,
 )
 from pancakes.graphs import GraphKind, PancakeGraph
-from pancakes.perms import Perm, SignedPerm, rank, srank
+from pancakes.perms import (
+    Perm,
+    SignedPerm,
+    _flip,
+    _lehmer,
+    _signed_flip,
+    _signed_lehmer,
+    rank,
+    srank,
+)
 from pancakes.search import _layers, _start
 
 
@@ -237,7 +245,7 @@ def dfs_cycles_reference(graph: PancakeGraph, length: int) -> list[Cycle]:
     choice, same canonical forms and ranks, same order.
     """
     burnt = graph.kind is GraphKind.BURNT
-    flip = _flip_burnt if burnt else _flip_plain
+    flip = _signed_flip if burnt else _flip
     flips = list(graph.flip_indices)
     identity = tuple(range(1, graph.n + 1))
 
@@ -285,6 +293,83 @@ def dfs_cycles_reference(graph: PancakeGraph, length: int) -> list[Cycle]:
 
     if length >= 3 and graph.degree >= 2:
         dfs(identity)
+    return sorted(found.values(), key=lambda c: (c.labels, c.ranks))
+
+
+def half_path_cycles_reference(graph: PancakeGraph, length: int) -> list[Cycle]:
+    """All simple ``length``-cycles through the identity by a tuple half-path join.
+
+    The enumeration ``enumerate_cycles`` ran before it grew its paths as
+    rank arrays, kept without the length and node-budget gates: one DFS
+    stores the simple b-flip paths from the identity by endpoint, a second
+    DFS to depth a = length - b streams the a-flip paths and joins each with
+    the stored paths that end where it ends and share no other vertex. The
+    traversal whose first vertex is the smaller entry tuple is kept; each
+    distinct vertex is ranked once from its entry tuple. No kernel code runs.
+    """
+    burnt = graph.kind is GraphKind.BURNT
+    flip = _signed_flip if burnt else _flip
+    flips = list(graph.flip_indices)
+    identity = tuple(range(1, graph.n + 1))
+    rank_memo: dict[tuple[int, ...], int] = {}
+
+    def rank_of(v: tuple[int, ...]) -> int:
+        r = rank_memo.get(v)
+        if r is None:
+            r = rank_memo[v] = _signed_lehmer(v) if burnt else _lehmer(v)
+        return r
+
+    path: list[tuple[int, ...]] = [identity]
+    on_path: set[tuple[int, ...]] = {identity}
+    labels: list[int] = []
+
+    def walk(v: tuple[int, ...], depth: int, visit) -> None:
+        previous = labels[-1] if labels else 0
+        for i in flips:
+            if i == previous:
+                continue  # flips are involutions; this undoes the last step
+            w = flip(v, i)
+            if w in on_path:
+                continue
+            labels.append(i)
+            path.append(w)
+            on_path.add(w)
+            if len(labels) == depth:
+                visit()
+            else:
+                walk(w, depth, visit)
+            labels.pop()
+            path.pop()
+            on_path.remove(w)
+
+    # endpoint -> (first vertex after the identity, interior vertices, labels
+    # in the order the joined traversal takes them) of each b-flip path
+    halves: dict[tuple[int, ...], list] = {}
+
+    def store() -> None:
+        halves.setdefault(path[-1], []).append(
+            (path[1], tuple(path[1:-1]), tuple(reversed(labels)))
+        )
+
+    found: dict[tuple[tuple[int, ...], tuple[int, ...]], Cycle] = {}
+
+    def join() -> None:
+        for last, interior, closing in halves.get(path[-1], ()):
+            if path[1] > last:
+                continue  # the reverse traversal of a cycle already (or later) kept
+            if not on_path.isdisjoint(interior):
+                continue
+            form = canonicalize(tuple(labels) + closing)
+            ranks = tuple(sorted(rank_of(v) for v in itertools.chain(path, interior)))
+            key = (form, ranks)
+            if key in found:
+                raise AssertionError(
+                    f"two traversals of distinct cycles collided on {key}"
+                )
+            found[key] = Cycle(form, ranks)
+
+    walk(identity, length // 2, store)
+    walk(identity, length - length // 2, join)
     return sorted(found.values(), key=lambda c: (c.labels, c.ranks))
 
 

@@ -1,7 +1,9 @@
 """Cycle enumeration, canonical forms, and classification matching."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +13,7 @@ from oracles import (
     brute_force_cycles,
     canonical_form,
     dfs_cycles_reference,
+    half_path_cycles_reference,
     match_form_reference,
 )
 from pancakes.cycles import (
@@ -22,6 +25,8 @@ from pancakes.cycles import (
     FamilyMatch,
     InfeasibleSizeError,
     UnsupportedLengthError,
+    _canonical_forms,
+    _walk_closes_simply,
     canonicalize,
     enumerate_cycles,
     families_for,
@@ -79,6 +84,22 @@ class TestCanonicalize:
     @given(st.one_of(label_sequences, tied_top_sequences()))
     def test_matches_oracle_on_any_sequence(self, labels):
         assert canonicalize(labels) == canonical_form(labels)
+
+    @given(st.lists(st.one_of(label_sequences, tied_top_sequences()), min_size=1, max_size=8))
+    def test_array_forms_match_oracle_row_by_row(self, sequences):
+        # the census canonicalizes all traversals of one length in one call
+        for length in {len(seq) for seq in sequences}:
+            rows = [seq for seq in sequences if len(seq) == length]
+            forms = _canonical_forms(np.array(rows, dtype=np.uint8))
+            assert forms.dtype == np.uint8 and forms.shape == (len(rows), length)
+            for seq, form in zip(rows, forms.tolist()):
+                assert tuple(form) == canonical_form(seq), seq
+
+    @given(st.lists(st.integers(min_value=100, max_value=127), min_size=10, max_size=12).map(tuple))
+    def test_array_forms_past_int64_keys(self, labels):
+        # 101^10 > 2^63: each rotation's number is a Python int
+        forms = _canonical_forms(np.array([labels, labels[::-1]], dtype=np.uint8))
+        assert forms.tolist() == [list(canonical_form(labels))] * 2
 
     @given(label_sequences)
     def test_idempotent(self, labels):
@@ -168,6 +189,38 @@ class TestEnumerate:
             joined = [(c.labels, c.ranks) for c in enumerate_cycles(g, length)]
             reference = [(c.labels, c.ranks) for c in dfs_cycles_reference(g, length)]
             assert joined == reference, length
+
+    @pytest.mark.parametrize(
+        "kind,n", [(PLAIN, n) for n in range(2, 9)] + [(BURNT, n) for n in range(1, 7)]
+    )
+    def test_equals_tuple_half_path_join(self, kind, n):
+        # the same cycles, in the same order, as the join of entry tuples
+        g = graph(kind, n)
+        for length in range(3, 10):
+            arrays = enumerate_cycles(g, length)
+            assert repr(arrays) == repr(half_path_cycles_reference(g, length)), length
+
+    @pytest.mark.parametrize("kind,n,total", [(PLAIN, 9, 1362), (BURNT, 8, 672)])
+    def test_equals_tuple_half_path_join_past_the_default_budget(self, kind, n, total):
+        g = graph(kind, n)
+        with pytest.raises(InfeasibleSizeError):
+            enumerate_cycles(g, 9)
+        cycles = enumerate_cycles(g, 9, node_budget=10**8)
+        assert len(cycles) == total
+        assert repr(cycles) == repr(half_path_cycles_reference(g, 9))
+
+    @pytest.mark.parametrize(
+        "kind,n,length,total", [(PLAIN, 30, 6, 1), (PLAIN, 30, 5, 0), (BURNT, 17, 5, 0)]
+    )
+    def test_ranks_past_int64(self, kind, n, length, total):
+        # P_30 and BP_17 have ranks the kernels cannot hold; the paths keep
+        # Python ints, and the census is still the tuple join's
+        g = graph(kind, n)
+        assert g.size > 2**63
+        cycles = enumerate_cycles(g, length, node_budget=10**12)
+        assert len(cycles) == total
+        assert repr(cycles) == repr(half_path_cycles_reference(g, length))
+        assert all(max(c.ranks) >= 2**63 for c in cycles)
 
     @pytest.mark.parametrize("kind,n,length,total", [(PLAIN, 8, 8, 316), (BURNT, 6, 9, 240)])
     def test_ranks_are_the_walked_forms_beyond_dfs_reach(self, kind, n, length, total):
@@ -265,6 +318,13 @@ class TestFamilies:
                     assert v not in seen, (fam.id, params)
                     seen.add(v)
                 assert g.apply(v, labels[-1]) == g.identity, (fam.id, params)
+
+    def test_length_and_parameters_come_from_the_signature(self):
+        for fam in FAMILIES:
+            assert fam.length == len(fam.signature.split(" ")), fam.id
+            names = sorted(set(re.findall("[a-z]", fam.signature)))
+            for params in fam.all_instances(7):
+                assert sorted(params) == names, (fam.id, params)
 
     def test_instances_are_injective_within_each_family(self):
         # raw template sequences: canonical forms may legitimately coincide
@@ -466,6 +526,15 @@ class TestVerifyClassification:
         assert found == expected
         # the fixed all-max-alternating family is present
         assert (4, 3, 4, 3, 4, 3, 4, 3) in found
+
+    def test_closing_check_needs_a_simple_closed_walk(self):
+        assert _walk_closes_simply(graph(PLAIN, 4), (3, 2, 3, 2, 3, 2))
+        assert _walk_closes_simply(graph(BURNT, 2), (2, 1, 2, 1, 2, 1, 2, 1))
+        # open: the sixth flip leads back to the fifth vertex, not the identity
+        assert not _walk_closes_simply(graph(PLAIN, 4), (3, 2, 3, 2, 3, 3))
+        # closed, but the third flip undoes the second
+        assert not _walk_closes_simply(graph(PLAIN, 4), (4, 2, 2, 4))
+        assert not _walk_closes_simply(graph(BURNT, 3), (1, 1, 2, 2))
 
     def test_report_fields(self):
         report = verify_classification(graph(BURNT, 2), 8)
