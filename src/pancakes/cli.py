@@ -11,7 +11,8 @@ Exit codes distinguish engineering failures from mathematical surprises:
 * 4 — a conjecture disagreed with the data (a result, not a bug)
 
 The ``PANCAKE_MEM_LIMIT`` environment variable overrides the default 4 GiB
-memory budget; ``--memory-limit`` overrides both. A CLI process runs
+memory budget; ``--memory-limit`` overrides both, except for a cycle census,
+which takes the variable or the default. A CLI process runs
 OpenBLAS with one thread unless ``OPENBLAS_NUM_THREADS`` is already set,
 since no command calls BLAS. A SIGTERM ends a forked layer as Ctrl-C does:
 its children are killed and reaped before the process ends. At exit the
@@ -41,6 +42,7 @@ from pathlib import Path
 from typing import TextIO
 
 from .cycles import (
+    DEFAULT_NODE_BUDGET,
     InfeasibleSizeError,
     UnsupportedLengthError,
     verify_classification,
@@ -91,8 +93,10 @@ def _add_common(parser: argparse.ArgumentParser, *, graph: bool = True) -> None:
         "--memory-limit",
         type=int,
         metavar="BYTES",
-        help="memory budget of layer tables in bytes (default: "
-        "$PANCAKE_MEM_LIMIT or 4 GiB)",
+        help="memory budget in bytes of the layer tables of table, formulas "
+        "check and formulas fit (default: $PANCAKE_MEM_LIMIT or 4 GiB); a "
+        "cycles census always takes $PANCAKE_MEM_LIMIT or 4 GiB, and distance "
+        "and sort hold no tables",
     )
     parser.add_argument(
         "--workers",
@@ -145,7 +149,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(cycles)
     cycles.add_argument("--n", required=True, type=int, help="stack size")
     cycles.add_argument("--length", required=True, type=int, help="cycle length")
-    cycles.add_argument("--node-budget", type=int, help="DFS node estimate cap")
+    cycles.add_argument(
+        "--node-budget",
+        type=int,
+        help="cap on the paths the census stores plus the path pairs it joins "
+        f"(default {DEFAULT_NODE_BUDGET:,})",
+    )
     cycles.add_argument("--format", choices=("text", "json"), default="text")
     cycles.set_defaults(run=cmd_cycles)
 

@@ -34,6 +34,7 @@ import numpy as np
 from . import _kernels as K
 from .graphs import GraphKind, PancakeGraph
 from .perms import _flip, _lehmer, _signed_flip, _signed_lehmer
+from .search import _CHUNK, _check_memory, _chunk_bytes, _flip_ranks
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -53,6 +54,8 @@ __all__ = [
 ]
 
 DEFAULT_NODE_BUDGET = 50_000_000
+# bytes a census charges a rank: int64, or past it a pointer and its share of a Python int
+_RANK_BYTES = {np.dtype(np.int64): 8, np.dtype(object): 64}
 
 
 class UnsupportedLengthError(ValueError):
@@ -60,7 +63,7 @@ class UnsupportedLengthError(ValueError):
 
 
 class InfeasibleSizeError(RuntimeError):
-    """The estimated search size exceeds the node budget; nothing was run."""
+    """The paths a census stores and pairs pass its node budget; refused before they are built."""
 
 
 def canonicalize(labels: Sequence[int]) -> tuple[int, ...]:
@@ -289,50 +292,48 @@ def match_form(form: Sequence[int], kind: GraphKind) -> FamilyMatch | _Unmatched
     return _matches(kind, len(f), max(f)).get(f, UNMATCHED)
 
 
-def _dfs_node_estimate(degree: int, length: int) -> int:
-    # Nodes a depth-``length`` DFS would expand: after the first step the
-    # previous flip is never repeated, so its tree branches by (degree - 1).
-    # The half-path join stores about the square root of this in paths, but
-    # its work is the path pairs it matches, which grow much faster (P_10 at
-    # L = 12: 294,910 stored paths, 1,361,068 pairs). A pair is an a-flip and
-    # a b-flip walk, at most degree^2 (degree - 1)^(L - 2) of them, which the
-    # last two terms of this sum already reach, so the estimate bounds the
-    # pairs and as a gate it is conservative.
-    return sum(degree * max(degree - 1, 1) ** (d - 1) for d in range(1, length + 1))
-
-
 def _neighbor_ranks(graph: PancakeGraph, ends: np.ndarray) -> np.ndarray:
     """Ranks of every flip of the vertices ``ends``, shape (flips, m), flips ascending."""
-    burnt = graph.kind is GraphKind.BURNT
     flips = graph.flip_indices
     if ends.dtype == object:
         # ranks past int64, which the kernels refuse: flip and rank entry tuples
+        burnt = graph.kind is GraphKind.BURNT
         flip, rank = (_signed_flip, _signed_lehmer) if burnt else (_flip, _lehmer)
         rows = [graph.unrank(r).entries for r in ends]
         nested = [[rank(flip(v, i)) for v in rows] for i in flips]
         return np.array(nested, dtype=object).reshape(len(flips), ends.size)
-    state = K.FlipRanks(graph.n, ends.size, signed=burnt)
-    perms = state.load(ends)
+    state = _flip_ranks(graph, ends.size)  # a chunk's rows, as _chunk_bytes charges
     out = np.empty((len(flips), ends.size), dtype=np.int64)
-    for row, i in zip(out, flips):
-        row[:] = K.batch_rank(perms, i, state)
+    for start in range(0, ends.size, _CHUNK):
+        perms = state.load(ends[start : start + _CHUNK])
+        for row, i in zip(out, flips):
+            row[start : start + _CHUNK] = K.batch_rank(perms, i, state)
     return out
 
 
 def _extend(
-    graph: PancakeGraph, ranks: np.ndarray, labels: np.ndarray
+    graph: PancakeGraph, ranks: np.ndarray, labels: np.ndarray, charge: Callable[[int, int], None]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every simple one-flip extension of the simple paths from the identity
     whose vertex ranks are the rows of ``ranks`` and flips those of ``labels``.
 
     A flip is kept where its rank differs from every vertex of its path,
     which also drops the flip that undoes the last one. Extensions come path
-    by path, flips ascending within each: the order of a DFS.
+    by path, flips ascending within each: the order of a DFS. ``charge``
+    takes the bytes of ranking, then the paths and bytes of the new level.
     """
+    m, depth = labels.shape
+    w = _RANK_BYTES[ranks.dtype]
+    # the paths extended, and every flip's rank and fresh mask beside a comparison
+    held = ranks.size * w + labels.nbytes + graph.degree * m * (w + 2)
+    charge(0, held + _chunk_bytes(graph, m))
     neighbors = _neighbor_ranks(graph, ranks[:, -1])
     fresh = np.ones(neighbors.shape, dtype=bool)
     for column in ranks.T:
         fresh &= neighbors != column
+    paths = int(np.count_nonzero(fresh))
+    # per path two int64 indices, its copied ranks beside its new row, then its labels
+    charge(paths, held + paths * (2 * (w + 1) * (depth + 2) + 16))
     rows, k = np.nonzero(fresh.T)
     flips = np.array(graph.flip_indices, dtype=np.uint8)
     return (
@@ -374,42 +375,45 @@ def _canonical_forms(labels: np.ndarray) -> np.ndarray:
     return forms
 
 
-def _half_paths(graph: PancakeGraph, length: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The simple paths of a = ceil(length / 2) and of b = length - a flips
-    from the identity, each as (vertex ranks, flip labels)."""
-    b = length // 2
-    ranks = np.zeros((1, 1), dtype=np.int64 if graph.size <= 1 << 63 else object)
-    labels = np.zeros((1, 0), dtype=np.uint8)
-    for depth in range(1, length - b + 1):
-        ranks, labels = _extend(graph, ranks, labels)
-        if depth == b:
-            b_paths = ranks, labels
-    return (ranks, labels), b_paths
-
-
-def _join(
-    a_paths: tuple[np.ndarray, np.ndarray], b_paths: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
+def _join(graph: PancakeGraph, length: int, charge: Callable[[int, int], None]) -> tuple[np.ndarray, np.ndarray]:
     """Label sequences and vertex ranks of the kept traversals, (m, L) each.
 
-    An a-path and a b-path that end at the same vertex and share no other
-    vertex but the identity close a traversal: the a-path's labels, then
-    the b-path's reversed. The b-paths are sorted by endpoint and paired
-    with a block of a-paths at a time, at most as many pairs per block as
-    there are a-paths.
+    The a-paths and b-paths are levels a = ceil(L/2) and b = L - a of
+    :func:`_extend`. An a-path and a b-path that end at the same vertex and
+    share no other vertex but the identity close a traversal: the a-path's
+    labels, then the b-path's reversed. Of each cycle's two traversals, the
+    one whose first vertex after the identity has the smaller rank is kept.
+    The b-paths are sorted by endpoint and paired with a block of a-paths at
+    a time, at most as many pairs per block as there are a-paths. ``charge``
+    takes the pairs before any is built.
     """
-    (a_ranks, a_labels), (b_ranks, b_labels) = a_paths, b_paths
-    a, b = a_labels.shape[1], b_labels.shape[1]
+    a, b = length - length // 2, length // 2
+    a_ranks = np.zeros((1, 1), dtype=np.int64 if graph.size <= 1 << 63 else object)
+    a_labels = np.zeros((1, 0), dtype=np.uint8)
+    for depth in range(1, a + 1):
+        a_ranks, a_labels = _extend(graph, a_ranks, a_labels, charge)
+        if depth == b:
+            b_ranks, b_labels = a_ranks, a_labels
+    w = _RANK_BYTES[a_ranks.dtype]
+    # level a and, where it extends it, level b, and 64 bytes a path of sort
+    # order, ends, int64 counts, sums and block indices
+    held = (a_ranks.size + (b < a) * b_ranks.size) * w + a_labels.nbytes + b_labels.nbytes
+    held += 64 * (len(a_ranks) + len(b_ranks))
+    # per pair of a block its int64 indices as made and kept, both halves' rows, the kept
+    # rows' copies, joined row and labels; kept rows count twice, as made and concatenated
+    per_pair = 3 * w * (length + 1) + 2 * length + 40
     order = np.argsort(b_ranks[:, -1], kind="stable")
     ends = b_ranks[order, -1]
     lo = np.searchsorted(ends, a_ranks[:, -1], side="left")
     counts = np.searchsorted(ends, a_ranks[:, -1], side="right") - lo
+    charge(int(counts.sum()), held)
     cum = np.cumsum(counts)
-    traversals, vertices = [], []
-    start = 0
+    traversals, vertices = [np.empty((0, length), np.uint8)], [np.empty((0, length), a_ranks.dtype)]
+    start = kept = 0
     while start < len(a_ranks):
         done = int(cum[start - 1]) if start else 0
         stop = max(start + 1, int(np.searchsorted(cum, done + len(a_ranks), side="right")))
+        charge(0, held + 2 * kept + (int(cum[stop - 1]) - done) * per_pair)
         c = counts[start:stop]
         ai = np.repeat(np.arange(start, stop), c)
         # pair p of a-path ai takes the b-path at sorted place lo[ai] + p
@@ -423,9 +427,8 @@ def _join(
                 keep &= pa[:, i] != pb[:, j]
         vertices.append(np.concatenate((pa[keep], pb[keep, 1:-1]), axis=1))
         traversals.append(np.concatenate((a_labels[ai[keep]], b_labels[bi[keep], ::-1]), axis=1))
+        kept += vertices[-1].nbytes + traversals[-1].nbytes
         start = stop
-    if not vertices:
-        return np.empty((0, a + b), dtype=np.uint8), np.empty((0, a + b), dtype=a_ranks.dtype)
     return np.concatenate(traversals), np.concatenate(vertices)
 
 
@@ -449,36 +452,33 @@ def enumerate_cycles(
 ) -> list[Cycle]:
     """All simple cycles of exactly ``length`` through the identity, each once.
 
-    Meet in the middle: with a = ceil(L/2) and b = L - a, a traversal
-    v0 v1 ... v_{L-1} of a cycle from the identity v0 is a simple a-flip path
-    v0 ... v_a joined to a simple b-flip path v0 v_{L-1} ... v_a whose
-    interior is disjoint from the first path. The simple paths from the
-    identity are grown one flip at a time, all paths of a level at once, as
-    rows of vertex ranks and of flip labels: the kernels rank every flip of
-    a level's endpoints, and a flip is kept where its rank is new to its
-    path. The b-paths are level b and the a-paths level a. The b-paths are
-    sorted by endpoint, and each block of a-paths is paired with those that
-    end where it ends. Each cycle has two identity-rooted traversals (one per
-    direction); the one whose first vertex after the identity has the
-    smaller rank is kept. The canonical forms and the sorted vertex ranks of
-    all kept traversals are then computed in one pass each. Output is sorted
-    by canonical form, then vertex ranks.
+    Meet in the middle (:func:`_join`): a traversal of a cycle from the
+    identity is a simple path of ceil(L/2) flips joined to one of the other
+    L - ceil(L/2) flips whose interior it misses. Output is sorted by
+    canonical form, then vertex ranks. The census refuses with
+    :class:`InfeasibleSizeError` once the paths it stores plus the pairs it
+    joins pass ``node_budget`` (default ``DEFAULT_NODE_BUDGET``), and with
+    ``MemoryLimitError`` before a level, a block of pairs or the output
+    would pass ``PANCAKE_MEM_LIMIT`` or 4 GiB.
     """
     if not 3 <= length <= 12:
         raise UnsupportedLengthError(
             f"cycle length must be between 3 and 12, got {length}"
         )
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
-    estimate = _dfs_node_estimate(graph.degree, length)
-    if estimate > budget:
-        raise InfeasibleSizeError(
-            f"depth-{length} cycle search in {graph} would expand about "
-            f"{estimate:,} nodes, exceeding the budget of {budget:,}"
-        )
+    what, nodes = f"the {length}-cycle census of {graph}", 0
 
-    traversals, vertices = _join(*_half_paths(graph, length))
-    if not len(vertices):
-        return []
+    def charge(paths: int, required: int) -> None:
+        """Count paths stored or paired, then check a step's largest bytes."""
+        nonlocal nodes
+        nodes += paths
+        if nodes > budget:
+            raise InfeasibleSizeError(f"{what} stores and pairs over {budget:,} paths, its node budget")
+        _check_memory(required, None, what)
+
+    traversals, vertices = _join(graph, length, charge)
+    # a cycle's Cycle, tuples, list slots and ints (<= 40 bytes) outweigh its forms and sort
+    charge(0, 65 * vertices.size + 152 * len(vertices))
     forms = _canonical_forms(traversals)
     vertices.sort(axis=1)
     order = np.lexsort((*vertices.T[::-1], *forms.T[::-1]))

@@ -330,6 +330,14 @@ class TestCycles:
         )
         assert code == EXIT_USAGE and "budget" in err
 
+    def test_census_memory_limit_env(self, capsys, monkeypatch):
+        # a census takes the limit from the environment, not --memory-limit
+        monkeypatch.setenv(MEMORY_LIMIT_ENV, "100000")
+        code, out, err = run(
+            capsys, "cycles", "--graph", "plain", "--n", "9", "--length", "9"
+        )
+        assert code == EXIT_USAGE and out == "" and "memory limit" in err
+
     def test_unmatched_exits_three(self, capsys, monkeypatch):
         doctored = CensusReport(
             kind=GraphKind.PLAIN, n=5, length=8, total=1,

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from oracles import (
     half_path_cycles_reference,
     match_form_reference,
 )
+from pancakes import cycles as cycles_module
 from pancakes.cycles import (
     FAMILIES,
     UNMATCHED,
@@ -35,6 +37,7 @@ from pancakes.cycles import (
 )
 from pancakes.formulas import eval_formula
 from pancakes.graphs import GraphKind, PancakeGraph
+from pancakes.search import MEMORY_LIMIT_ENV, MemoryLimitError
 
 PLAIN = GraphKind.PLAIN
 BURNT = GraphKind.BURNT
@@ -201,13 +204,14 @@ class TestEnumerate:
             assert repr(arrays) == repr(half_path_cycles_reference(g, length)), length
 
     @pytest.mark.parametrize("kind,n,total", [(PLAIN, 9, 1362), (BURNT, 8, 672)])
-    def test_equals_tuple_half_path_join_past_the_default_budget(self, kind, n, total):
+    def test_equals_tuple_half_path_join_at_length_nine(self, kind, n, total):
+        # the default budget runs them; they store and pair about 25,000 paths
         g = graph(kind, n)
-        with pytest.raises(InfeasibleSizeError):
-            enumerate_cycles(g, 9)
-        cycles = enumerate_cycles(g, 9, node_budget=10**8)
+        cycles = enumerate_cycles(g, 9)
         assert len(cycles) == total
         assert repr(cycles) == repr(half_path_cycles_reference(g, 9))
+        with pytest.raises(InfeasibleSizeError, match="node budget"):
+            enumerate_cycles(g, 9, node_budget=10_000)
 
     @pytest.mark.parametrize(
         "kind,n,length,total", [(PLAIN, 30, 6, 1), (PLAIN, 30, 5, 0), (BURNT, 17, 5, 0)]
@@ -228,7 +232,7 @@ class TestEnumerate:
         # graph.apply, traces a cycle through the identity with that form, and
         # every such cycle is traced so. The vertices are ranked by their index
         # in the sorted enumeration, which shares no code with the census's
-        # flips, its rank memo or the tuple ranker behind rank and srank.
+        # batch kernels or the tuple ranker behind rank and srank.
         g = graph(kind, n)
         order = all_signed_perms(n) if kind is BURNT else all_perms(n)
         index = {v: r for r, v in enumerate(order)}
@@ -271,6 +275,43 @@ class TestEnumerate:
     def test_node_budget_refusal(self):
         with pytest.raises(InfeasibleSizeError, match="budget"):
             enumerate_cycles(graph(PLAIN, 10), 12, node_budget=10_000)
+
+    @pytest.mark.parametrize(
+        "kind,n,length", [(PLAIN, 10, 12), (PLAIN, 14, 9), (BURNT, 16, 10), (PLAIN, 7, 12)]
+    )
+    def test_memory_charge_covers_traced_peak(self, monkeypatch, kind, n, length):
+        # the largest bytes the census passes to the memory check cover what
+        # it allocates; at P_7, L = 12 its 33,646 output cycles outweigh the rest
+        monkeypatch.delenv(MEMORY_LIMIT_ENV, raising=False)
+        g = graph(kind, n)
+        charges = []
+        check = cycles_module._check_memory
+
+        def record(required, limit, what):
+            charges.append(required)
+            check(required, limit, what)
+
+        monkeypatch.setattr(cycles_module, "_check_memory", record)
+        tracemalloc.start()
+        try:
+            enumerate_cycles(g, length)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(charges)
+
+    def test_memory_limit_refuses_p20_length_12_early(self, monkeypatch):
+        # about 36M a-paths of 7 ranks: the level is refused from its fresh
+        # mask's count, before it is built
+        monkeypatch.delenv(MEMORY_LIMIT_ENV, raising=False)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryLimitError, match="12-cycle census of P_20"):
+                enumerate_cycles(graph(PLAIN, 20), 12, node_budget=10**12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 30
 
     def test_degenerate_graphs_have_no_cycles(self):
         assert enumerate_cycles(graph(PLAIN, 2), 6) == []
