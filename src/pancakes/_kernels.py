@@ -23,7 +23,9 @@ anew cost O(n^2) per flip. The state owns its chunk: :meth:`FlipRanks.load`
 takes the int64 ranks, signed for a signed state, unranks them into
 unsigned uint8 rows with :func:`batch_unrank` (a signed rank's unsigned
 part is the rank shifted right by n; the state reads the signs from the
-ranks) and returns that batch, and it holds one batch at a time.
+ranks) and returns that batch. It holds one batch and its chunk of ranks
+at a time, until :meth:`FlipRanks.release`, which the search's chunk loops
+call when they end.
 :func:`batch_rank` with a state is the one stateful entry, for both kinds.
 With one argument, :func:`batch_rank` and :func:`batch_srank` rank a batch
 whole by plain Lehmer counts (each digit the count of smaller entries after
@@ -230,6 +232,12 @@ class FlipRanks:
     :meth:`load` brings in, so a search allocates them once per run of
     chunks. The int64 ranks a call returns are one of them, overwritten by
     the next call. ``ranks`` holds the ranks of the batch's rows, in order.
+
+    The state holds its batch, and ``ranks``, a view that keeps the
+    caller's whole array of ranks alive, only from :meth:`load` until
+    :meth:`release` or the next load. The search's chunk loops release it
+    when they end, so nothing of one block of ranks but the buffers is
+    alive while the next block is extracted.
     """
 
     def __init__(self, n: int, rows: int, *, signed: bool = False) -> None:
@@ -257,10 +265,12 @@ class FlipRanks:
 
         The batch holds unsigned uint8 one-line rows, for a signed state
         too: the state reads the signs from the signed ``ranks``. The
-        previous batch and ranks are dropped first, so only the caller's
-        references keep them alive while this one is unranked.
+        previous batch and ranks are released first, so only the caller's
+        references keep them alive while this one is unranked. The state
+        holds the new batch and ``ranks`` until :meth:`release` or the next
+        load.
         """
-        self._batch = self.ranks = None
+        self.release()
         n = self.n
         perms = batch_unrank(n, ranks >> n if self.signed else ranks)
         self._batch, self.ranks, self._flip = perms, ranks, 0
@@ -269,6 +279,10 @@ class FlipRanks:
         if self.signed:
             self._word.fill(0)
         return perms
+
+    def release(self) -> None:
+        """Drop the loaded batch and its ranks; the buffers stay for the next load."""
+        self._batch = self.ranks = None
 
     def _fit(self, m: int) -> None:
         """Point the views of the buffers at their first ``m`` rows."""

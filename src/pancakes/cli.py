@@ -11,8 +11,7 @@ Exit codes distinguish engineering failures from mathematical surprises:
 * 4 — a conjecture disagreed with the data (a result, not a bug)
 
 The ``PANCAKE_MEM_LIMIT`` environment variable overrides the default 4 GiB
-memory budget; ``--memory-limit`` overrides both, except for a cycle census,
-which takes the variable or the default. A CLI process runs
+memory budget; ``--memory-limit`` overrides both. A CLI process runs
 OpenBLAS with one thread unless ``OPENBLAS_NUM_THREADS`` is already set,
 since no command calls BLAS. A SIGTERM ends a forked layer as Ctrl-C does:
 its children are killed and reaped before the process ends. At exit the
@@ -94,9 +93,8 @@ def _add_common(parser: argparse.ArgumentParser, *, graph: bool = True) -> None:
         type=int,
         metavar="BYTES",
         help="memory budget in bytes of the layer tables of table, formulas "
-        "check and formulas fit (default: $PANCAKE_MEM_LIMIT or 4 GiB); a "
-        "cycles census always takes $PANCAKE_MEM_LIMIT or 4 GiB, and distance "
-        "and sort hold no tables",
+        "check and formulas fit, and of a cycles census (default: "
+        "$PANCAKE_MEM_LIMIT or 4 GiB); distance and sort hold no tables",
     )
     parser.add_argument(
         "--workers",
@@ -262,7 +260,9 @@ def cmd_sort(args: argparse.Namespace, out: TextIO) -> int:
 
 def cmd_cycles(args: argparse.Namespace, out: TextIO) -> int:
     graph = PancakeGraph(args.kind, args.n)
-    report = verify_classification(graph, args.length, node_budget=args.node_budget)
+    report = verify_classification(
+        graph, args.length, node_budget=args.node_budget, memory_limit=args.memory_limit
+    )
     if args.format == "json":
         from .reports import census_document, render
 

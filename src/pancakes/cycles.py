@@ -385,7 +385,9 @@ def _join(graph: PancakeGraph, length: int, charge: Callable[[int, int], None]) 
     one whose first vertex after the identity has the smaller rank is kept.
     The b-paths are sorted by endpoint and paired with a block of a-paths at
     a time, at most as many pairs per block as there are a-paths. ``charge``
-    takes the pairs before any is built.
+    takes the pairs before any is built, and each block's bytes twice: for
+    the indices of all its pairs, then for the rows of those left after the
+    direction test, about half of them.
     """
     a, b = length - length // 2, length // 2
     a_ranks = np.zeros((1, 1), dtype=np.int64 if graph.size <= 1 << 63 else object)
@@ -399,7 +401,11 @@ def _join(graph: PancakeGraph, length: int, charge: Callable[[int, int], None]) 
     # order, ends, int64 counts, sums and block indices
     held = (a_ranks.size + (b < a) * b_ranks.size) * w + a_labels.nbytes + b_labels.nbytes
     held += 64 * (len(a_ranks) + len(b_ranks))
-    # per pair of a block its int64 indices as made and kept, both halves' rows, the kept
+    # per pair of a block, before the direction test: its two int64 indices beside
+    # the two int64 arrays that sum to one of them, or beside both halves' second
+    # vertices (int64, or pointers to the shared ints) and the direction mask
+    per_pair_made = 33
+    # per pair left after it, its int64 indices as kept, both halves' rows, the kept
     # rows' copies, joined row and labels; kept rows count twice, as made and concatenated
     per_pair = 3 * w * (length + 1) + 2 * length + 40
     order = np.argsort(b_ranks[:, -1], kind="stable")
@@ -413,13 +419,15 @@ def _join(graph: PancakeGraph, length: int, charge: Callable[[int, int], None]) 
     while start < len(a_ranks):
         done = int(cum[start - 1]) if start else 0
         stop = max(start + 1, int(np.searchsorted(cum, done + len(a_ranks), side="right")))
-        charge(0, held + 2 * kept + (int(cum[stop - 1]) - done) * per_pair)
+        charge(0, held + 2 * kept + (int(cum[stop - 1]) - done) * per_pair_made)
         c = counts[start:stop]
         ai = np.repeat(np.arange(start, stop), c)
         # pair p of a-path ai takes the b-path at sorted place lo[ai] + p
         bi = order[np.repeat(lo[start:stop] - (cum[start:stop] - c - done), c) + np.arange(ai.size)]
-        keep = a_ranks[ai, 1] < b_ranks[bi, 1]
-        ai, bi = ai[keep], bi[keep]
+        forward = a_ranks[ai, 1] < b_ranks[bi, 1]
+        ai, bi = ai[forward], bi[forward]
+        del forward
+        charge(0, held + 2 * kept + ai.size * per_pair)
         pa, pb = a_ranks[ai], b_ranks[bi]
         keep = np.ones(ai.size, dtype=bool)
         for i in range(1, a):
@@ -449,6 +457,7 @@ def enumerate_cycles(
     length: int,
     *,
     node_budget: int | None = None,
+    memory_limit: int | None = None,
 ) -> list[Cycle]:
     """All simple cycles of exactly ``length`` through the identity, each once.
 
@@ -459,7 +468,7 @@ def enumerate_cycles(
     :class:`InfeasibleSizeError` once the paths it stores plus the pairs it
     joins pass ``node_budget`` (default ``DEFAULT_NODE_BUDGET``), and with
     ``MemoryLimitError`` before a level, a block of pairs or the output
-    would pass ``PANCAKE_MEM_LIMIT`` or 4 GiB.
+    would pass ``memory_limit`` (default ``PANCAKE_MEM_LIMIT`` or 4 GiB).
     """
     if not 3 <= length <= 12:
         raise UnsupportedLengthError(
@@ -474,7 +483,7 @@ def enumerate_cycles(
         nodes += paths
         if nodes > budget:
             raise InfeasibleSizeError(f"{what} stores and pairs over {budget:,} paths, its node budget")
-        _check_memory(required, None, what)
+        _check_memory(required, memory_limit, what)
 
     traversals, vertices = _join(graph, length, charge)
     # a cycle's Cycle, tuples, list slots and ints (<= 40 bytes) outweigh its forms and sort
@@ -539,6 +548,7 @@ def verify_classification(
     length: int,
     *,
     node_budget: int | None = None,
+    memory_limit: int | None = None,
 ) -> CensusReport:
     """Enumerate every L-cycle through the identity and match each to a family.
 
@@ -546,7 +556,7 @@ def verify_classification(
     reported canonical form traces a simple closed walk from the identity.
     A report with ``unmatched`` empty confirms the classification at (g, L).
     """
-    cycles = enumerate_cycles(graph, length, node_budget=node_budget)
+    cycles = enumerate_cycles(graph, length, node_budget=node_budget, memory_limit=memory_limit)
     match_of: dict[tuple[int, ...], FamilyMatch | _Unmatched] = {}
     for cycle in cycles:
         if cycle.labels not in match_of:

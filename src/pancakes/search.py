@@ -5,8 +5,9 @@ chunk loops: one :class:`~pancakes._kernels.FlipRanks` loads each chunk of
 ranks, which it unranks into unsigned uint8 rows (the unsigned part of a
 signed rank is the rank shifted right by n; a signed state reads the signs
 from the ranks), and ranks every flip of the chunk. The loops keep only
-the flips. :func:`_chunk_bytes` charges the per-rank buffers of every such
-loop in both engines' memory estimates.
+the flips, and release the state when they end. :func:`_chunk_bytes`
+charges the per-rank buffers of every such loop in both engines' memory
+estimates.
 
 The bitset engine searches the whole graph. The visited set and the current
 frontier are flat bit arrays indexed by permutation rank (BP_8 has ~10.3M
@@ -48,7 +49,10 @@ either direction holds one extracted block of ranks (see
 :func:`_extract_bytes`), the chunk's batch and ranking state, and
 per-flip arrays, bottom-up's no wider than top-down's; a bottom-up step
 also holds its block's inverted copy, 8 bytes a word, while the block is
-extracted, and its blocks span at most one chunk of words. The popcount of
+extracted, and its blocks span at most one chunk of words. One block is
+held at a time: its chunk loop releases the ranking state, so its ranks
+and last batch are freed before the next block is extracted, and only the
+state's buffers serve both. The popcount of
 the merged candidate bits is the next layer count. One generator runs the
 layers for fresh, checkpointed and resumed profiles alike.
 
@@ -330,7 +334,8 @@ def _fresh_neighbors(
     flip of its rows, in ascending order; its buffers serve every chunk.
     Nothing of one flip is alive while the next one is ranked
     (:func:`_chunk_bytes` counts on it), so a caller drops each array before
-    it asks for the next.
+    it asks for the next. After the last chunk the state is released, and
+    holds nothing of ``ranks``.
     """
     for start in range(0, ranks.size, _CHUNK):
         perms = state.load(ranks[start : start + _CHUNK])
@@ -342,6 +347,7 @@ def _fresh_neighbors(
             yield fresh
             del fresh
         del perms  # before the next chunk is unranked
+    state.release()  # before the caller extracts its next block
 
 
 def _frontier_children(
@@ -382,6 +388,7 @@ def _frontier_children(
             else:
                 del hit
         del perms  # before the next chunk is unranked
+    state.release()  # before the caller extracts its next block
 
 
 def _group_words() -> int:

@@ -331,12 +331,22 @@ class TestCycles:
         assert code == EXIT_USAGE and "budget" in err
 
     def test_census_memory_limit_env(self, capsys, monkeypatch):
-        # a census takes the limit from the environment, not --memory-limit
+        # without --memory-limit a census takes the limit from the environment
         monkeypatch.setenv(MEMORY_LIMIT_ENV, "100000")
         code, out, err = run(
             capsys, "cycles", "--graph", "plain", "--n", "9", "--length", "9"
         )
         assert code == EXIT_USAGE and out == "" and "memory limit" in err
+
+    def test_census_memory_limit_flag(self, capsys, monkeypatch):
+        # --memory-limit bounds a census, and overrides the environment
+        monkeypatch.delenv(MEMORY_LIMIT_ENV, raising=False)
+        census = ("cycles", "--graph", "burnt", "--n", "8", "--length", "9")
+        code, out, err = run(capsys, *census, "--memory-limit", "100000")
+        assert code == EXIT_USAGE and out == "" and "memory limit is 100,000 bytes" in err
+        monkeypatch.setenv(MEMORY_LIMIT_ENV, "100000")
+        code, out, _ = run(capsys, *census, "--memory-limit", str(4 << 30))
+        assert code == EXIT_OK and "total cycles through the identity: 672" in out
 
     def test_unmatched_exits_three(self, capsys, monkeypatch):
         doctored = CensusReport(

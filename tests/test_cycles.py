@@ -277,7 +277,9 @@ class TestEnumerate:
             enumerate_cycles(graph(PLAIN, 10), 12, node_budget=10_000)
 
     @pytest.mark.parametrize(
-        "kind,n,length", [(PLAIN, 10, 12), (PLAIN, 14, 9), (BURNT, 16, 10), (PLAIN, 7, 12)]
+        "kind,n,length",
+        [(PLAIN, 10, 12), (PLAIN, 14, 9), (BURNT, 16, 10), (PLAIN, 7, 12)]
+        + [(PLAIN, 8, 8), (PLAIN, 9, 8), (BURNT, 6, 8), (BURNT, 7, 8)],
     )
     def test_memory_charge_covers_traced_peak(self, monkeypatch, kind, n, length):
         # the largest bytes the census passes to the memory check cover what
@@ -299,6 +301,10 @@ class TestEnumerate:
         finally:
             tracemalloc.stop()
         assert peak <= max(charges)
+        if length == 8:
+            # a = b: a join block is charged again for the pairs that pass the
+            # direction test, about half of them, not for all it made
+            assert max(charges) < 2.5 * peak
 
     def test_memory_limit_refuses_p20_length_12_early(self, monkeypatch):
         # about 36M a-paths of 7 ranks: the level is refused from its fresh
@@ -312,6 +318,17 @@ class TestEnumerate:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 30
+
+    def test_memory_limit_argument_overrides_the_environment(self, monkeypatch):
+        g = graph(BURNT, 8)
+        monkeypatch.delenv(MEMORY_LIMIT_ENV, raising=False)
+        with pytest.raises(MemoryLimitError, match="limit is 100,000 bytes"):
+            enumerate_cycles(g, 9, memory_limit=100_000)
+        with pytest.raises(MemoryLimitError, match="limit is 100,000 bytes"):
+            verify_classification(g, 9, memory_limit=100_000)
+        monkeypatch.setenv(MEMORY_LIMIT_ENV, "100000")
+        assert len(enumerate_cycles(g, 9, memory_limit=4 << 30)) == 672
+        assert verify_classification(g, 9, memory_limit=4 << 30).total == 672
 
     def test_degenerate_graphs_have_no_cycles(self):
         assert enumerate_cycles(graph(PLAIN, 2), 6) == []

@@ -363,6 +363,21 @@ class TestFlipRanks:
         expected = flipped_ranks(n, ranks[1:], signed)[3]
         assert np.array_equal(K.batch_rank(perms, 3, state), expected)
 
+    def test_release_drops_the_batch_and_its_ranks(self):
+        ranks = np.arange(40, dtype=np.int64)
+        state = K.FlipRanks(5, 40)
+        perms = state.load(ranks[10:])
+        batch, block = weakref.ref(perms.base), weakref.ref(ranks)
+        state.release()
+        assert state.ranks is None
+        with pytest.raises(ValueError, match="another batch"):
+            K.batch_rank(perms, 2, state)
+        del perms, ranks
+        assert batch() is None and block() is None
+        # the buffers serve the next load
+        perms = state.load(np.arange(5, dtype=np.int64))
+        assert np.array_equal(K.batch_rank(perms, 2, state), K.batch_rank(K.batch_flip(perms, 2)))
+
     def test_refuses_descending_flips_and_another_batch(self):
         n = 6
         ranks = np.arange(50, dtype=np.int64)

@@ -12,6 +12,7 @@ import textwrap
 import threading
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -662,6 +663,46 @@ class TestForkedWorkers:
 
 
 class TestMemoryAccounting:
+    @pytest.mark.parametrize("kind,n", [(PLAIN, 7), (BURNT, 5)])
+    def test_nothing_of_a_block_outlives_it(self, monkeypatch, kind, n):
+        # when a block's ranks are extracted, no batch that the ranking state
+        # loaded from an earlier block, nor an earlier block's ranks, is alive
+        monkeypatch.setattr(search, "_CHUNK", 37)
+        extract, load = _kernels.bitset_extract_ranks, _kernels.FlipRanks.load
+        earlier = []  # weak references to the buffers of earlier blocks
+        blocks = {}  # blocks per layer, by direction
+        layer = []
+
+        def owner(array):
+            return array if array.base is None else array.base
+
+        def loading(state, ranks):
+            batch = load(state, ranks)
+            earlier.append(weakref.ref(owner(batch)))
+            return batch
+
+        def extracting(*args, **kwargs):
+            assert all(ref() is None for ref in earlier)
+            ranks = extract(*args, **kwargs)
+            earlier.append(weakref.ref(owner(ranks)))
+            blocks[layer[-1]] = blocks.get(layer[-1], 0) + 1
+            return ranks
+
+        expand = search._expand_layer
+
+        def expanding(graph, visited, frontier, workers, bottom_up):
+            layer.append((len(layer), bottom_up))
+            return expand(graph, visited, frontier, workers, bottom_up)
+
+        monkeypatch.setattr(_kernels.FlipRanks, "load", loading)
+        monkeypatch.setattr(_kernels, "bitset_extract_ranks", extracting)
+        monkeypatch.setattr(search, "_expand_layer", expanding)
+        g = graph(kind, n)
+        assert layer_profile(g, workers=1).counts == tuple(naive_layer_counts(n, burnt=kind is BURNT))
+        # several blocks in a layer, in either direction
+        for direction in (False, True):
+            assert max(c for (_, up), c in blocks.items() if up is direction) >= 3
+
     def test_refuses_oversized_run(self):
         with pytest.raises(MemoryLimitError) as info:
             layer_profile(graph(PLAIN, 11), memory_limit=10_000)
